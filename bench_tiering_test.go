@@ -8,6 +8,10 @@ import (
 	"testing"
 
 	"corm/internal/core"
+	"corm/internal/mem"
+	"corm/internal/rnic"
+	"corm/internal/tier"
+	"corm/internal/timing"
 )
 
 // benchTieredStore preloads objs objects of the given size into a store
@@ -83,5 +87,73 @@ func BenchmarkFaultIn(b *testing.B) {
 	b.StopTimer()
 	if st := s.Residency().Stats(); st.FaultIns < int64(b.N/2) {
 		b.Fatalf("only %d fault-ins across %d reads: eviction sweep not sticking", st.FaultIns, b.N)
+	}
+}
+
+// TestTierCycleAllocBudget pins what one write-back eviction plus fault-in
+// of a one-page block allocates on the compressed tier: the stored blob,
+// the fresh frame list and the page-table entry, with a spare — at most 4.
+// The staging buffer, both flate halves and the copy scratch are pooled
+// (this cycle cost about 7 while Put kept a grown bytes.Buffer per image).
+func TestTierCycleAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting in -short")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budgets hold for production builds")
+	}
+	space := mem.NewAddrSpace(mem.NewPhys(true))
+	res := tier.NewResidency(space, tier.NewCompressed())
+	base := space.ReserveBlock(1)
+	space.Map(base, space.Phys().Alloc(1))
+	h := res.Register(base, 1, 0)
+	page := make([]byte, mem.PageSize)
+	cycle := func() {
+		page[0]++
+		if err := space.WriteAt(base, page); err != nil { // dirty: the eviction writes back
+			t.Fatal(err)
+		}
+		if clean, err := res.SpillOut(h); err != nil || clean {
+			t.Fatalf("SpillOut: clean=%v err=%v", clean, err)
+		}
+		if err := res.FaultIn(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(100, cycle)
+	t.Logf("evict + fault-in of a one-page dirty block: %.1f allocs", allocs)
+	if allocs > 4 {
+		t.Fatalf("evict + fault-in of a one-page dirty block costs %.1f allocs, budget 4", allocs)
+	}
+}
+
+// BenchmarkNICInvalidate times what one evict + fault-in cycle of a hot
+// block asks of the NIC — invalidate the block's MTT entries, then prefetch
+// them back (ibv_advise_mr) — with 8 k one-page regions registered, about
+// what an oversubscribed store carries. The cost must not depend on that
+// count: both lookups go through the NIC's page index, not a walk over its
+// regions.
+func BenchmarkNICInvalidate(b *testing.B) {
+	const regions = 8192
+	space := mem.NewAddrSpace(mem.NewPhys(false))
+	nic := rnic.New(space, timing.ConnectX5())
+	bases := make([]uint64, regions)
+	for i := range bases {
+		bases[i] = space.ReserveBlock(1)
+		space.Map(bases[i], space.Phys().Alloc(1))
+		if _, err := nic.Register(bases[i], mem.PageSize, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		base := bases[i%regions]
+		nic.Invalidate(base, mem.PageSize)
+		if _, err := nic.AdviseMR(base, mem.PageSize); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,6 +8,7 @@
 package corm
 
 import (
+	"bytes"
 	"testing"
 
 	"corm/internal/client"
@@ -242,6 +243,55 @@ func TestBatchReadAllocBudget(t *testing.T) {
 				t.Fatalf("MultiRead costs %.2f allocs/call = %.2f per sub-read, budget <1 (amortized 0)", perCall, perSub)
 			}
 		})
+	}
+}
+
+// TestLocalReadAllocBudget pins the in-process read path: a ConnectLocal
+// client's Read has the server stage the slot inside a pooled frame buffer
+// and decodes the response in place, so it allocates nothing. (Before the
+// local backend had the lease facet every such Read allocated its payload.)
+func TestLocalReadAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting in -short")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budgets hold for production builds")
+	}
+	srv, err := NewServer(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := srv.ConnectLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	want := make([]byte, 1024)
+	for i := range want {
+		want[i] = byte(i)
+	}
+	addr, err := cli.Alloc(len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Write(&addr, want); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, len(want))
+	read := func() {
+		if n, err := cli.Read(&addr, buf); err != nil || n != len(want) {
+			t.Fatalf("Read = %d, %v", n, err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+		t.Fatalf("in-process Read costs %.1f allocs/op, budget 0", allocs)
+	}
+	if !bytes.Equal(buf, want) {
+		t.Fatal("in-process Read returned the wrong bytes")
 	}
 }
 

@@ -492,6 +492,27 @@ func (l *localBackend) Call(req rpc.Request) (rpc.Response, error) {
 	return l.srv.Submit(req), nil
 }
 
+// CallLease is the zero-copy facet (leaseCaller), for reads: the server
+// stages and unpacks the slot inside a pooled frame buffer and the response
+// is decoded in place, so an in-process Read costs no allocation. A reply
+// that outgrows the buffer moves to a fresh array the views keep alive; the
+// lease then just recycles the unused buffer. Every other op answers with a
+// struct and no payload worth pooling — framing and re-parsing it cost a
+// Write 0.3 µs (churn_compact write_p50_us 2.19 → 2.51 in ten of ten
+// pairs) — so those go through Submit, with no lease.
+func (l *localBackend) CallLease(req rpc.Request) (rpc.Response, *transport.Lease, error) {
+	if req.Op != rpc.OpRead {
+		return l.srv.Submit(req), nil, nil
+	}
+	lease := transport.PooledLease()
+	resp, err := rpc.UnmarshalResponseView(l.srv.SubmitAppend(req, lease.Bytes()))
+	if err != nil {
+		lease.Release()
+		return rpc.Response{}, nil, err
+	}
+	return resp, lease, nil
+}
+
 func (l *localBackend) DirectRead(rkey uint32, vaddr uint64, buf []byte) error {
 	_, err := l.qp.QP().Read(rkey, vaddr, buf)
 	return err

@@ -75,6 +75,8 @@ var (
 
 	cmEvictions = metrics.Default().Counter("corm_tier_evictions_total",
 		"blocks spilled out to the tier")
+	cmCleanEvictions = metrics.Default().Counter("corm_tier_clean_evictions_total",
+		"evictions that skipped the write-back: the tier image was still current (1 - this/evictions = write-back share)")
 	cmFaultIns = metrics.Default().Counter("corm_tier_faultins_total",
 		"blocks faulted back in from the tier")
 	cmFaultInNs = metrics.Default().Histogram("corm_tier_faultin_ns",

@@ -20,6 +20,11 @@ import (
 //	Resident --SpillOut (tryEvict, holds rw)--> Evicted
 //	Evicted  --FaultIn (faultInLocked, holds rw)--> Faulting --> Resident
 //
+// Fault-in leaves the block's image in the tier, and an eviction that finds
+// the block unwritten since (mem.Frame's dirty bit, set by the WriteBytes
+// every store mutation funnels through) skips the write-back; the same rw
+// hold is all the synchronisation that rule needs (tier.Residency.SpillOut).
+//
 // Eviction is driven from two places: the Phys frame allocator's budget
 // hook (reclaimFrames, invoked when an allocation would overshoot the
 // budget) and the explicit EvictBlocks helper for tests and benchmarks.
@@ -234,12 +239,16 @@ func (s *Store) tryEvict(h *tier.Handle) bool {
 	if st.gone() != nil || st.aliased() || st.Empty() || h.State() != tier.Resident {
 		return false
 	}
-	if err := s.res.SpillOut(h); err != nil {
+	clean, err := s.res.SpillOut(h)
+	if err != nil {
 		return false
 	}
 	// Cached translations must not serve the recycled frames.
 	s.nic.Invalidate(st.VAddr, st.Pages*mem.PageSize)
 	cmEvictions.Inc()
+	if clean {
+		cmCleanEvictions.Inc()
+	}
 	cmEvictedBlocks.Inc()
 	return true
 }

@@ -257,7 +257,11 @@ func (s *Store) onNewBlock(b *alloc.Block) {
 	cmBytesLive.Add(int64(s.cfg.BlockBytes))
 }
 
-// onReleaseBlock tears down store state before a block is unmapped.
+// onReleaseBlock tears down store state before a block is unmapped. It
+// runs inside the Free that emptied the block (the allocator's only release
+// path), so the block's rw is write-held throughout — which is what lets it
+// call FaultIn and Unregister, both of which write the handle's
+// retained-image marker, without taking the lock itself.
 func (s *Store) onReleaseBlock(b *alloc.Block) {
 	sh := s.shard(b.VAddr)
 	sh.mu.Lock()

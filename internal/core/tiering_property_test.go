@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -135,6 +137,23 @@ func TestTieredConcurrentProperty(t *testing.T) {
 		live bool
 	}
 
+	// A block mid-merge answers ErrCompacting: nothing was done and the
+	// caller retries (§3.2.3; rpc clients and the benchmark do). The
+	// compactor below runs flat out, so workers do meet it: without the
+	// retry 27 of 100 runs fail on it, at the parent commit as well. A merge
+	// holds a block for microseconds, so the retry is bounded: an op still
+	// refused after two seconds is a stuck flag and fails the test.
+	retry := func(op func() error) error {
+		for deadline := time.Now().Add(2 * time.Second); ; runtime.Gosched() {
+			if err := op(); !errors.Is(err, ErrCompacting) || time.Now().After(deadline) {
+				return err
+			}
+		}
+	}
+	read := func(a *Addr, buf []byte) error {
+		return retry(func() error { _, err := s.Read(a, buf); return err })
+	}
+
 	var stop atomic.Bool
 	var aux sync.WaitGroup
 	aux.Add(1)
@@ -164,7 +183,7 @@ func TestTieredConcurrentProperty(t *testing.T) {
 					return
 				}
 				objs[i] = obj{addr: r.Addr, ver: 1, live: true}
-				if err := s.Write(&objs[i].addr, pay(i, 1)); err != nil {
+				if err := retry(func() error { return s.Write(&objs[i].addr, pay(i, 1)) }); err != nil {
 					errs <- err
 					return
 				}
@@ -184,7 +203,7 @@ func TestTieredConcurrentProperty(t *testing.T) {
 				case o.live && rnd.Float64() < 0.08:
 					// Free without reallocating: the holes this leaves are
 					// what gives the racing compactor merges to perform.
-					if err := s.Free(&o.addr); err != nil {
+					if err := retry(func() error { return s.Free(&o.addr) }); err != nil {
 						errs <- fmt.Errorf("w%d free %d: %w", w, i, err)
 						return
 					}
@@ -192,7 +211,7 @@ func TestTieredConcurrentProperty(t *testing.T) {
 				case !o.live || rnd.Float64() < 0.1:
 					// Churn: free (if live) and reallocate at a new address.
 					if o.live {
-						if err := s.Free(&o.addr); err != nil {
+						if err := retry(func() error { return s.Free(&o.addr) }); err != nil {
 							errs <- fmt.Errorf("w%d free %d: %w", w, i, err)
 							return
 						}
@@ -203,18 +222,18 @@ func TestTieredConcurrentProperty(t *testing.T) {
 						return
 					}
 					o.addr, o.ver, o.live = r.Addr, o.ver+1, true
-					if err := s.Write(&o.addr, pay(i, o.ver)); err != nil {
+					if err := retry(func() error { return s.Write(&o.addr, pay(i, o.ver)) }); err != nil {
 						errs <- fmt.Errorf("w%d rewrite %d: %w", w, i, err)
 						return
 					}
 				case rnd.Float64() < 0.3:
 					o.ver++
-					if err := s.Write(&o.addr, pay(i, o.ver)); err != nil {
+					if err := retry(func() error { return s.Write(&o.addr, pay(i, o.ver)) }); err != nil {
 						errs <- fmt.Errorf("w%d write %d: %w", w, i, err)
 						return
 					}
 				default:
-					if _, err := s.Read(&o.addr, buf); err != nil {
+					if err := read(&o.addr, buf); err != nil {
 						errs <- fmt.Errorf("w%d read %d: %w", w, i, err)
 						return
 					}
@@ -230,7 +249,7 @@ func TestTieredConcurrentProperty(t *testing.T) {
 				if !o.live {
 					continue
 				}
-				if _, err := s.Read(&o.addr, buf); err != nil {
+				if err := read(&o.addr, buf); err != nil {
 					errs <- fmt.Errorf("w%d audit %d: %w", w, i, err)
 					return
 				}
@@ -252,5 +271,10 @@ func TestTieredConcurrentProperty(t *testing.T) {
 	if st.SpillOuts < 20 || st.FaultIns < 20 {
 		t.Fatalf("too little tier traffic under oversubscription: %+v", st)
 	}
-	t.Logf("spillouts=%d faultins=%d compactions=%d", st.SpillOuts, st.FaultIns, s.Stats().Compactions)
+	// Most rounds only read, so blocks do get evicted unwritten: the churn
+	// must exercise the skip-the-write-back path, not just the write-back.
+	if st.CleanEvictions == 0 {
+		t.Fatalf("churn never took the clean-eviction path: %+v", st)
+	}
+	t.Logf("spillouts=%d (clean %d) faultins=%d compactions=%d", st.SpillOuts, st.CleanEvictions, st.FaultIns, s.Stats().Compactions)
 }

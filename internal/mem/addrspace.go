@@ -195,15 +195,32 @@ func (s *AddrSpace) MappedPages() int {
 // boundaries as needed. It fails if any page is unmapped or the space is
 // not byte-backed.
 func (s *AddrSpace) ReadAt(vaddr uint64, buf []byte) error {
-	return s.access(vaddr, buf, false)
+	return s.access(vaddr, buf, accessRead)
 }
 
-// WriteAt copies buf into virtual memory at vaddr.
+// WriteAt copies buf into virtual memory at vaddr, dirtying the pages.
 func (s *AddrSpace) WriteAt(vaddr uint64, buf []byte) error {
-	return s.access(vaddr, buf, true)
+	return s.access(vaddr, buf, accessWrite)
 }
 
-func (s *AddrSpace) access(vaddr uint64, buf []byte, write bool) error {
+// FillAt is WriteAt for restoring a saved image of the range (the tier's
+// fault-in): the pages' dirty bits are left as they are, so frames fresh
+// from Phys stay clean until something else writes them.
+func (s *AddrSpace) FillAt(vaddr uint64, buf []byte) error {
+	return s.access(vaddr, buf, accessFill)
+}
+
+// accessOp selects access's per-page operation. A switch, not a function
+// value: an indirect call would make every caller's buffer escape.
+type accessOp int
+
+const (
+	accessRead accessOp = iota
+	accessWrite
+	accessFill
+)
+
+func (s *AddrSpace) access(vaddr uint64, buf []byte, op accessOp) error {
 	if !s.phys.Backed() {
 		return fmt.Errorf("mem: data access in accounting-only mode")
 	}
@@ -217,10 +234,13 @@ func (s *AddrSpace) access(vaddr uint64, buf []byte, write bool) error {
 		if n > len(buf)-done {
 			n = len(buf) - done
 		}
-		if write {
-			f.WriteBytes(off, buf[done:done+n])
-		} else {
+		switch op {
+		case accessRead:
 			f.ReadBytes(off, buf[done:done+n])
+		case accessWrite:
+			f.WriteBytes(off, buf[done:done+n])
+		case accessFill:
+			f.fill(off, buf[done:done+n])
 		}
 		done += n
 	}

@@ -309,3 +309,74 @@ func TestQuickAliasChain(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFrameDirtyBit pins the dirty bit's life cycle: frames leave Phys
+// clean, FillAt (restoring a saved image) and reads keep them clean, every
+// WriteAt/WriteBytes dirties exactly the pages it touches, and a recycled
+// frame is handed out clean again.
+func TestFrameDirtyBit(t *testing.T) {
+	p := NewPhys(true)
+	s := NewAddrSpace(p)
+	v := s.ReserveBlock(3)
+	frames := p.Alloc(3)
+	s.Map(v, frames)
+	dirty := func() [3]bool {
+		return [3]bool{frames[0].Dirty(), frames[1].Dirty(), frames[2].Dirty()}
+	}
+	if dirty() != [3]bool{} {
+		t.Fatalf("fresh frames dirty: %v", dirty())
+	}
+
+	image := make([]byte, 3*PageSize)
+	for i := range image {
+		image[i] = byte(i * 7)
+	}
+	if err := s.FillAt(v, image); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(image))
+	if err := s.ReadAt(v, got); err != nil || !bytes.Equal(got, image) {
+		t.Fatalf("FillAt did not land the image: %v", err)
+	}
+	if dirty() != [3]bool{} {
+		t.Fatalf("FillAt or ReadAt dirtied frames: %v", dirty())
+	}
+
+	// A write straddling pages 1 and 2 dirties those two and only those.
+	if err := s.WriteAt(v+2*PageSize-4, make([]byte, 8)); err != nil {
+		t.Fatal(err)
+	}
+	if dirty() != [3]bool{false, true, true} {
+		t.Fatalf("dirty after straddling write = %v, want [false true true]", dirty())
+	}
+	frames[0].WriteBytes(0, []byte{1})
+	if !frames[0].Dirty() {
+		t.Fatal("WriteBytes did not dirty the frame")
+	}
+	// Filling over a dirty page does not launder it.
+	if err := s.FillAt(v, image[:PageSize]); err != nil {
+		t.Fatal(err)
+	}
+	if !frames[0].Dirty() {
+		t.Fatal("FillAt cleared a dirty bit")
+	}
+
+	s.Unmap(v, 3)
+	for _, f := range p.Alloc(3) {
+		if f.Dirty() {
+			t.Fatalf("recycled frame %v handed out dirty", f.ID)
+		}
+	}
+}
+
+// TestFillAtAccountingMode: like every data access, FillAt is rejected
+// when frames carry no bytes.
+func TestFillAtAccountingMode(t *testing.T) {
+	p := NewPhys(false)
+	s := NewAddrSpace(p)
+	v := s.ReserveBlock(1)
+	s.Map(v, p.Alloc(1))
+	if err := s.FillAt(v, make([]byte, 8)); err == nil {
+		t.Fatal("FillAt succeeded in accounting-only mode")
+	}
+}

@@ -59,10 +59,19 @@ type Frame struct {
 	// are atomic, while multi-page or multi-access sequences can observe
 	// torn state — exactly the hazard CoRM's cacheline versioning detects.
 	dataMu sync.Mutex
+	// dirty is the page's PTE dirty bit, guarded by dataMu: WriteBytes — the
+	// one funnel every mutation goes through — sets it, Phys.Alloc hands the
+	// frame out with it clear, and fill (the tier restoring an image) leaves
+	// it alone. A frame that is still clean when its block is evicted holds
+	// exactly what the tier filled it with, so the image need not be written
+	// back (tier.Residency.SpillOut).
+	dirty bool
 }
 
-// Data returns the page's bytes, or nil in accounting-only mode. Callers
-// that may race with writers must use ReadBytes/WriteBytes instead.
+// Data returns the page's bytes, or nil in accounting-only mode. The slice
+// is read-only by contract — a store through it would bypass the dirty bit
+// and be lost at the block's next eviction — and callers that may race
+// with writers must use ReadBytes/WriteBytes instead.
 func (f *Frame) Data() []byte { return f.data }
 
 // ReadBytes copies from the page at off under the page lock.
@@ -72,11 +81,29 @@ func (f *Frame) ReadBytes(off int, buf []byte) {
 	f.dataMu.Unlock()
 }
 
-// WriteBytes copies into the page at off under the page lock.
+// WriteBytes copies into the page at off under the page lock and marks the
+// page dirty.
 func (f *Frame) WriteBytes(off int, buf []byte) {
 	f.dataMu.Lock()
 	copy(f.data[off:off+len(buf)], buf)
+	f.dirty = true
 	f.dataMu.Unlock()
+}
+
+// fill is WriteBytes for restoring a page's saved image (AddrSpace.FillAt):
+// the bytes now match the saved copy, so the dirty bit is not set.
+func (f *Frame) fill(off int, buf []byte) {
+	f.dataMu.Lock()
+	copy(f.data[off:off+len(buf)], buf)
+	f.dataMu.Unlock()
+}
+
+// Dirty reports whether the page has been written (WriteBytes) since Phys
+// handed the frame out.
+func (f *Frame) Dirty() bool {
+	f.dataMu.Lock()
+	defer f.dataMu.Unlock()
+	return f.dirty
 }
 
 // Refs returns the current mapping count (for tests and invariant checks).
@@ -191,11 +218,10 @@ func (p *Phys) allocLocked(n int) []*Frame {
 		f := p.free[len(p.free)-1]
 		p.free = p.free[:len(p.free)-1]
 		f.freed = false
-		if p.backed {
-			for i := range f.data {
-				f.data[i] = 0
-			}
-		}
+		f.dataMu.Lock()
+		clear(f.data)
+		f.dirty = false
+		f.dataMu.Unlock()
 		out = append(out, f)
 	}
 	for len(out) < n {

@@ -106,6 +106,12 @@ type NIC struct {
 	mu      sync.Mutex
 	space   *mem.AddrSpace
 	regions map[uint32]*Region
+	// pages indexes the regions by the virtual pages they touch, so the
+	// per-page lookups of Invalidate and AdviseMR cost one map probe however
+	// many regions are registered (the store registers one per block).
+	// Register and Deregister maintain it. Registrations may overlap, as
+	// ibv_reg_mr allows, so a page holds a list; the common case is one entry.
+	pages   map[uint64][]*Region
 	mtt     map[uint64]mttEntry
 	cache   *lruCache
 	nextKey uint32
@@ -128,6 +134,7 @@ func New(space *mem.AddrSpace, model timing.NIC) *NIC {
 		Model:   model,
 		space:   space,
 		regions: make(map[uint32]*Region),
+		pages:   make(map[uint64][]*Region),
 		mtt:     make(map[uint64]mttEntry),
 		cache:   newLRU(model.MTTCacheEntries),
 		qps:     make(map[uint64]*QP),
@@ -209,14 +216,20 @@ func (n *NIC) Register(base uint64, length int, odp bool) (*Region, error) {
 		return nil, err
 	}
 	n.regions[r.RKey] = r
+	for vp, last := pageSpan(base, length); vp <= last; vp++ {
+		n.pages[vp] = append(n.pages[vp], r)
+	}
 	return r, nil
+}
+
+// pageSpan returns the first and last virtual page of [base, base+length).
+func pageSpan(base uint64, length int) (first, last uint64) {
+	return base >> mem.PageShift, (base + uint64(length) - 1) >> mem.PageShift
 }
 
 // snapshotLocked copies OS translations for a range into the MTT.
 func (n *NIC) snapshotLocked(base uint64, length int) error {
-	first := base >> mem.PageShift
-	last := (base + uint64(length) - 1) >> mem.PageShift
-	for vp := first; vp <= last; vp++ {
+	for vp, last := pageSpan(base, length); vp <= last; vp++ {
 		f, gen, ok := n.space.TranslateEntry(vp << mem.PageShift)
 		if !ok {
 			return fmt.Errorf("%w: page %#x", ErrUnmapped, vp<<mem.PageShift)
@@ -232,11 +245,21 @@ func (n *NIC) Deregister(r *Region) {
 	defer n.mu.Unlock()
 	r.valid = false
 	delete(n.regions, r.RKey)
-	first := r.Base >> mem.PageShift
-	last := (r.Base + uint64(r.Len) - 1) >> mem.PageShift
-	for vp := first; vp <= last; vp++ {
+	for vp, last := pageSpan(r.Base, r.Len); vp <= last; vp++ {
 		delete(n.mtt, vp)
 		n.cache.remove(vp)
+		rs := n.pages[vp]
+		for i, x := range rs {
+			if x == r {
+				rs = append(rs[:i], rs[i+1:]...)
+				break
+			}
+		}
+		if len(rs) == 0 {
+			delete(n.pages, vp)
+		} else {
+			n.pages[vp] = rs
+		}
 	}
 }
 
@@ -265,9 +288,7 @@ func (n *NIC) EndRereg(r *Region) error {
 func (n *NIC) Invalidate(base uint64, length int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	first := base >> mem.PageShift
-	last := (base + uint64(length) - 1) >> mem.PageShift
-	for vp := first; vp <= last; vp++ {
+	for vp, last := pageSpan(base, length); vp <= last; vp++ {
 		if r := n.regionForLocked(vp << mem.PageShift); r != nil && r.ODP {
 			delete(n.mtt, vp)
 			n.cache.remove(vp)
@@ -293,8 +314,9 @@ func (n *NIC) AdviseMR(base uint64, length int) (Cost, error) {
 	return Cost{Latency: n.Model.AdviseMR}, nil
 }
 
+// regionForLocked returns a registered region containing vaddr, or nil.
 func (n *NIC) regionForLocked(vaddr uint64) *Region {
-	for _, r := range n.regions {
+	for _, r := range n.pages[vaddr>>mem.PageShift] {
 		if r.Contains(vaddr, 1) {
 			return r
 		}

@@ -191,6 +191,7 @@ var clusterCounterNames = []string{
 	"corm_cluster_write_concern_misses_total",
 	"corm_core_canary_violations_total",
 	"corm_tier_evictions_total",
+	"corm_tier_clean_evictions_total",
 	"corm_tier_faultins_total",
 	"corm_tier_reclaim_runs_total",
 	"corm_rnic_host_faults_total",

@@ -57,6 +57,26 @@ type Handle struct {
 	// re-entry into the allocation critical section, or eviction thrash
 	// could starve it indefinitely.
 	pins atomic.Int32
+
+	// slot is the handle's index in Residency.ring, guarded by Residency.mu.
+	slot int
+	// image is the retained-image marker: the frames the last FaultIn mapped
+	// at base and filled from a tier image it left in place, nil when no
+	// such image is known. The image is current — and the next SpillOut may
+	// skip the write-back — only while those same frames are still mapped at
+	// base and none has been written (imageCurrent). SpillOut, a failed
+	// FaultIn and Unregister leave it nil; a Remap of the base or a write to
+	// any frame fails the check.
+	//
+	// It has no lock of its own. FaultIn and SpillOut run under the block's
+	// write lock, like the state transitions. Unregister has two callers:
+	// the release of an emptied block, which runs inside the Free that holds
+	// that same write lock, and a compaction merge dissolving its source,
+	// which holds no lock but has raised the block's compacting flag under
+	// it — and the only SpillOut caller (core's tryEvict) takes the lock and
+	// turns away a compacting block before it gets here. A new caller of
+	// any of the three must keep to one of those two.
+	image []*mem.Frame
 }
 
 // refMax caps the clock reference counter: a block can bank at most this
@@ -113,11 +133,12 @@ func (h *Handle) Hot() bool { return h.hot.Load() }
 
 // Stats is a snapshot of residency-manager activity.
 type Stats struct {
-	SpillOuts     int64 // blocks evicted to the tier
-	FaultIns      int64 // blocks faulted back in
-	BytesSpilled  int64 // logical bytes written out (pre-compression)
-	BytesRestored int64 // logical bytes read back
-	EvictedBlocks int64 // blocks currently evicted
+	SpillOuts      int64 // blocks evicted, written back or clean
+	CleanEvictions int64 // of those, evictions whose tier image was still current: nothing written
+	FaultIns       int64 // blocks faulted back in
+	BytesSpilled   int64 // logical bytes written out to the tier (pre-compression)
+	BytesRestored  int64 // logical bytes read back
+	EvictedBlocks  int64 // blocks currently evicted
 }
 
 // Residency tracks which registered blocks are resident and picks eviction
@@ -135,11 +156,12 @@ type Residency struct {
 	index map[uint64]*Handle
 	hand  int
 
-	spillOuts     atomic.Int64
-	faultIns      atomic.Int64
-	bytesSpilled  atomic.Int64
-	bytesRestored atomic.Int64
-	evicted       atomic.Int64
+	spillOuts      atomic.Int64
+	cleanEvictions atomic.Int64
+	faultIns       atomic.Int64
+	bytesSpilled   atomic.Int64
+	bytesRestored  atomic.Int64
+	evicted        atomic.Int64
 }
 
 // NewResidency creates a residency manager spilling into t (which must be
@@ -165,28 +187,30 @@ func (r *Residency) Register(base uint64, pages, class int) *Handle {
 		panic(fmt.Sprintf("tier: duplicate residency registration for %#x", base))
 	}
 	r.index[base] = h
+	h.slot = len(r.ring)
 	r.ring = append(r.ring, h)
 	r.mu.Unlock()
 	return h
 }
 
 // Unregister removes a block (being released or dissolved by compaction)
-// and drops any spilled image. The caller must have faulted the block in
-// first if its frames are about to be unmapped by the release path.
+// and drops its tier image, spilled or retained. The caller must have
+// faulted the block in first if its frames are about to be unmapped by the
+// release path.
 func (r *Residency) Unregister(h *Handle) {
 	r.mu.Lock()
-	delete(r.index, h.base)
-	for i, x := range r.ring {
-		if x == h {
-			r.ring[i] = r.ring[len(r.ring)-1]
-			r.ring = r.ring[:len(r.ring)-1]
-			break
-		}
+	if r.index[h.base] == h {
+		delete(r.index, h.base)
+		last := r.ring[len(r.ring)-1]
+		r.ring[h.slot] = last
+		last.slot = h.slot
+		r.ring = r.ring[:len(r.ring)-1]
 	}
 	r.mu.Unlock()
 	if h.State() == Evicted {
 		r.evicted.Add(-1)
 	}
+	h.image = nil
 	r.tier.Delete(h.base)
 }
 
@@ -254,21 +278,44 @@ func (r *Residency) NextVictim() *Handle {
 // move to the tier and its frames are unmapped, returning them to the
 // budgeted allocator. The caller holds the block's write lock and has
 // already checked the block is not compacting, aliased, or dissolved.
-func (r *Residency) SpillOut(h *Handle) error {
+//
+// The write-back is skipped — clean is true — when the tier still holds the
+// image the block was last faulted in from and nothing has written the
+// block since (the swap-cache rule): the bytes in the frames and in the
+// tier are the same, so reading, compressing and storing them again would
+// buy nothing.
+func (r *Residency) SpillOut(h *Handle) (clean bool, err error) {
 	if h.State() != Resident {
-		return fmt.Errorf("tier: spill-out of %s block %#x", h.State(), h.base)
+		return false, fmt.Errorf("tier: spill-out of %s block %#x", h.State(), h.base)
 	}
 	if h.Pinned() {
 		// The clock skips pinned blocks, but a pin can land between
 		// NextVictim and the caller's lock acquisition; re-check here,
 		// under the same rw hold the pinner's fault-in used.
-		return fmt.Errorf("tier: spill-out of pinned block %#x", h.base)
+		return false, fmt.Errorf("tier: spill-out of pinned block %#x", h.base)
 	}
+	if clean = r.imageCurrent(h); clean {
+		r.cleanEvictions.Add(1)
+	} else if err := r.writeBack(h); err != nil {
+		return false, err
+	}
+	h.image = nil
+	r.space.Unmap(h.base, h.pages)
+	h.state.Store(int32(Evicted))
+	r.spillOuts.Add(1)
+	r.evicted.Add(1)
+	return clean, nil
+}
+
+// writeBack stores the block's current bytes (none, in accounting-only
+// mode) as its tier image, replacing any stale one.
+func (r *Residency) writeBack(h *Handle) error {
 	size := h.pages * mem.PageSize
 	var buf []byte
 	if r.space.Phys().Backed() {
-		buf = getScratch(size)
-		defer putScratch(buf)
+		sp := getScratch(size)
+		defer scratch.Put(sp)
+		buf = *sp
 		if err := r.space.ReadAt(h.base, buf); err != nil {
 			return fmt.Errorf("tier: spill-out read: %w", err)
 		}
@@ -276,20 +323,40 @@ func (r *Residency) SpillOut(h *Handle) error {
 	if err := r.tier.Put(h.base, buf); err != nil {
 		return err
 	}
-	r.space.Unmap(h.base, h.pages)
-	h.state.Store(int32(Evicted))
-	r.spillOuts.Add(1)
 	r.bytesSpilled.Add(int64(size))
-	r.evicted.Add(1)
 	return nil
+}
+
+// imageCurrent reports whether the tier already holds exactly the bytes
+// mapped at h's base, by the three conditions that make a retained image
+// valid: FaultIn retained one, the tier confirms it still has it, and the
+// frames FaultIn filled are still the ones mapped there with none written
+// since. Any doubt is a write-back. The caller holds the block's write
+// lock, which excludes every writer that takes the block lock; a one-sided
+// write racing the eviction was already unordered against it.
+func (r *Residency) imageCurrent(h *Handle) bool {
+	if h.image == nil || !r.tier.Has(h.base) {
+		return false
+	}
+	for i, f := range h.image {
+		cur, _, ok := r.space.Translate(h.base + uint64(i)*mem.PageSize)
+		if !ok || cur != f || f.Dirty() {
+			return false
+		}
+	}
+	return true
 }
 
 // FaultIn brings an evicted block back: fresh frames are allocated (which
 // may itself evict colder blocks under budget pressure), mapped at the
 // same virtual base — resuming the page generations, so stale RNIC
 // translations from before the eviction still miss — and refilled from the
-// tier. The caller holds the block's write lock. A no-op if the block is
-// already resident.
+// tier. The image stays in the tier and the frames are filled without
+// dirtying them, so a block evicted again before anything writes it skips
+// the write-back; the price is that the tier holds up to one image per
+// registered block rather than per evicted block, and the image of a block
+// written since goes stale until its next eviction replaces it. The caller
+// holds the block's write lock. A no-op if the block is already resident.
 func (r *Residency) FaultIn(h *Handle) error {
 	if h.State() == Resident {
 		return nil
@@ -301,9 +368,15 @@ func (r *Residency) FaultIn(h *Handle) error {
 	r.space.Map(h.base, frames)
 	size := h.pages * mem.PageSize
 	if r.space.Phys().Backed() {
-		buf := getScratch(size)
-		defer putScratch(buf)
-		if err := r.tier.Get(h.base, buf); err != nil {
+		sp := getScratch(size)
+		defer scratch.Put(sp)
+		err := r.tier.Get(h.base, *sp)
+		if err == nil {
+			if err = r.space.FillAt(h.base, *sp); err != nil {
+				err = fmt.Errorf("tier: fault-in fill: %w", err)
+			}
+		}
+		if err != nil {
 			// The spilled image is gone or corrupt: undo the mapping and
 			// stay evicted so the failure is visible and retryable rather
 			// than silently serving zeroed frames.
@@ -311,13 +384,12 @@ func (r *Residency) FaultIn(h *Handle) error {
 			h.state.Store(int32(Evicted))
 			return err
 		}
-		if err := r.space.WriteAt(h.base, buf); err != nil {
-			r.space.Unmap(h.base, h.pages)
-			h.state.Store(int32(Evicted))
-			return fmt.Errorf("tier: fault-in fill: %w", err)
-		}
+		h.image = frames
+	} else {
+		// Accounting-only frames carry no dirty bit worth trusting (nothing
+		// is ever written through them): no image is retained.
+		r.tier.Delete(h.base)
 	}
-	r.tier.Delete(h.base)
 	h.state.Store(int32(Resident))
 	// Admit with a single life: a block faulted for a one-off cold access
 	// is the next thing out, while a genuinely re-warmed block banks more
@@ -332,25 +404,28 @@ func (r *Residency) FaultIn(h *Handle) error {
 
 // scratch pools the block-image copy buffers the spill/fault paths use;
 // allocating a fresh one per transition feeds the GC exactly when the
-// system is busiest.
-var scratch sync.Pool
+// system is busiest. The pool holds *[]byte: a bare slice would be boxed,
+// and so allocated, on every Put.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
-func getScratch(size int) []byte {
-	if b, _ := scratch.Get().([]byte); cap(b) >= size {
-		return b[:size]
+// getScratch borrows a size-byte buffer; return the box with scratch.Put.
+func getScratch(size int) *[]byte {
+	sp := scratch.Get().(*[]byte)
+	if cap(*sp) < size {
+		*sp = make([]byte, size)
 	}
-	return make([]byte, size)
+	*sp = (*sp)[:size]
+	return sp
 }
-
-func putScratch(b []byte) { scratch.Put(b[:cap(b)]) }
 
 // Stats snapshots manager activity.
 func (r *Residency) Stats() Stats {
 	return Stats{
-		SpillOuts:     r.spillOuts.Load(),
-		FaultIns:      r.faultIns.Load(),
-		BytesSpilled:  r.bytesSpilled.Load(),
-		BytesRestored: r.bytesRestored.Load(),
-		EvictedBlocks: r.evicted.Load(),
+		SpillOuts:      r.spillOuts.Load(),
+		CleanEvictions: r.cleanEvictions.Load(),
+		FaultIns:       r.faultIns.Load(),
+		BytesSpilled:   r.bytesSpilled.Load(),
+		BytesRestored:  r.bytesRestored.Load(),
+		EvictedBlocks:  r.evicted.Load(),
 	}
 }

@@ -32,6 +32,8 @@ type Tier interface {
 	// Get fills buf with the stored image for key. The stored image must
 	// be exactly len(buf) bytes.
 	Get(key uint64, buf []byte) error
+	// Has reports whether an image is stored for key, without reading it.
+	Has(key uint64) bool
 	// Delete drops the stored image for key, if any.
 	Delete(key uint64)
 	// Blocks reports how many block images the tier holds.
@@ -82,34 +84,52 @@ func (c *Compressed) Name() string { return "compressed" }
 // flate writer/reader state is hundreds of KiB per instance (window +
 // hash tables); allocating it per spill turns a busy eviction path into a
 // GC storm whose pauses show up as latency spikes on *resident* reads.
-// Pool and Reset instead.
+// Pool and Reset instead. Each pooled value carries the buffer its flate
+// half works against, so a Put or Get allocates nothing but the stored
+// blob itself.
 var (
-	flateWriters sync.Pool
-	flateReaders sync.Pool
+	compressors   sync.Pool // *compressor
+	decompressors sync.Pool // *decompressor
 )
+
+// compressor is a flate writer bound to its staging buffer.
+type compressor struct {
+	buf bytes.Buffer
+	w   *flate.Writer
+}
+
+// decompressor is a flate reader bound to the bytes.Reader it drains.
+type decompressor struct {
+	src bytes.Reader
+	r   io.ReadCloser
+}
 
 // Put implements Tier.
 func (c *Compressed) Put(key uint64, data []byte) error {
 	var blob []byte
 	if len(data) > 0 {
-		var buf bytes.Buffer
-		w, _ := flateWriters.Get().(*flate.Writer)
-		if w == nil {
+		z, _ := compressors.Get().(*compressor)
+		if z == nil {
+			z = new(compressor)
 			var err error
-			if w, err = flate.NewWriter(&buf, flate.BestSpeed); err != nil {
+			if z.w, err = flate.NewWriter(&z.buf, flate.BestSpeed); err != nil {
 				return fmt.Errorf("tier: flate init: %w", err)
 			}
 		} else {
-			w.Reset(&buf)
+			z.buf.Reset()
+			z.w.Reset(&z.buf)
 		}
-		if _, err := w.Write(data); err != nil {
+		if _, err := z.w.Write(data); err != nil {
 			return fmt.Errorf("tier: compress: %w", err)
 		}
-		if err := w.Close(); err != nil {
+		if err := z.w.Close(); err != nil {
 			return fmt.Errorf("tier: compress: %w", err)
 		}
-		flateWriters.Put(w)
-		blob = buf.Bytes()
+		// Store an exact-size copy: the staging buffer grew by doubling, and
+		// keeping it would pin up to twice the bytes StoredBytes reports.
+		blob = make([]byte, z.buf.Len())
+		copy(blob, z.buf.Bytes())
+		compressors.Put(z)
 	}
 	c.mu.Lock()
 	if old, ok := c.blobs[key]; ok {
@@ -132,24 +152,38 @@ func (c *Compressed) Get(key uint64, buf []byte) error {
 	if len(buf) == 0 {
 		return nil
 	}
-	r, _ := flateReaders.Get().(io.ReadCloser)
-	if r == nil {
-		r = flate.NewReader(bytes.NewReader(blob))
-	} else if err := r.(flate.Resetter).Reset(bytes.NewReader(blob), nil); err != nil {
-		return fmt.Errorf("tier: flate reset: %w", err)
+	z, _ := decompressors.Get().(*decompressor)
+	if z == nil {
+		z = new(decompressor)
+		z.src.Reset(blob)
+		z.r = flate.NewReader(&z.src)
+	} else {
+		z.src.Reset(blob)
+		if err := z.r.(flate.Resetter).Reset(&z.src, nil); err != nil {
+			return fmt.Errorf("tier: flate reset: %w", err)
+		}
 	}
-	n, err := io.ReadFull(r, buf)
+	n, err := io.ReadFull(z.r, buf)
 	if err != nil {
 		return fmt.Errorf("tier: decompress %#x after %d bytes: %w", key, n, err)
 	}
-	if extra, _ := io.Copy(io.Discard, r); extra != 0 {
+	if extra, _ := io.Copy(io.Discard, z.r); extra != 0 {
 		return fmt.Errorf("tier: spilled image for %#x is %d bytes too long", key, extra)
 	}
-	if err := r.Close(); err != nil {
+	if err := z.r.Close(); err != nil {
 		return err
 	}
-	flateReaders.Put(r)
+	z.src.Reset(nil) // the pool must not keep the blob alive
+	decompressors.Put(z)
 	return nil
+}
+
+// Has implements Tier.
+func (c *Compressed) Has(key uint64) bool {
+	c.mu.Lock()
+	_, ok := c.blobs[key]
+	c.mu.Unlock()
+	return ok
 }
 
 // Delete implements Tier.
@@ -249,6 +283,14 @@ func (d *Disk) Get(key uint64, buf []byte) error {
 	}
 	copy(buf, data)
 	return nil
+}
+
+// Has implements Tier.
+func (d *Disk) Has(key uint64) bool {
+	d.mu.Lock()
+	_, ok := d.sizes[key]
+	d.mu.Unlock()
+	return ok
 }
 
 // Delete implements Tier.

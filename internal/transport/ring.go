@@ -66,6 +66,13 @@ func newPooledLease(b []byte) *Lease {
 	return l
 }
 
+// PooledLease leases an empty frame-pool buffer (one frame class of
+// capacity), for code that builds a response in process and hands it to
+// lease-based consumers — the client's in-process backend appends the
+// server's reply onto Bytes(). The final Release recycles the buffer and
+// the lease, so a steady caller allocates nothing.
+func PooledLease() *Lease { return newPooledLease(getFrameBuf(0)) }
+
 // TransientLease wraps an ordinary buffer in a lease, for code that feeds
 // lease-based consumers from non-ring sources (local backends, test
 // doubles). The final Release simply drops the buffer.
