@@ -87,6 +87,15 @@ func (p *Pool) PutIfAbsent(g *GlobalAddr, value []byte) (uint32, error) {
 // already applied are not undone (the acked replicas are authoritative
 // and repair converges the rest).
 func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
+	// Registered as a reader until the last propagation resolves: a delta
+	// must never land on a slot the reclaimer has handed to another Put.
+	epoch := kv.rc.enter()
+	stayRegistered := false
+	defer func() {
+		if !stayRegistered {
+			kv.rc.exit(epoch)
+		}
+	}()
 	kv.mu.Lock()
 	e := kv.entries[key]
 	if e == nil {
@@ -122,8 +131,7 @@ func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
 			if errors.Is(err, core.ErrShortBuffer) {
 				return 0, true, err // bad offset fails identically everywhere
 			}
-			kv.markStale(key, e, i, version)
-			if isDivergent(err) {
+			if kv.markStale(key, e, i, version) && isDivergent(err) {
 				kv.suspectNode(r.addr.Node)
 			}
 			lastErr = err
@@ -189,7 +197,9 @@ func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
 	// Stragglers past the ack point finish in the background; a late
 	// failure still marks its replica stale so repair converges it.
 	if pending > 0 {
+		stayRegistered = true
 		go func(pending int) {
+			defer kv.rc.exit(epoch)
 			for ; pending > 0; pending-- {
 				if o := <-res; o.err != nil {
 					kv.markStale(key, e, o.i, version)

@@ -209,6 +209,7 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 	refs := make([]ref, n)
 	var fallback []int // keys that must go through the failover read path
 	live := 0
+	defer kv.rc.exit(kv.rc.enter())
 	kv.mu.Lock()
 	for i, k := range keys {
 		e := kv.entries[k]
@@ -269,8 +270,9 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 					// Divergent replica: reject, mark for repair (the key
 					// and the rebuilt node's whole population), fail over.
 					cuStaleReads.Inc()
-					kv.markStale(keys[i], refs[i].e, refs[i].repIdx, refs[i].version)
-					kv.suspectNode(refs[i].g.Node)
+					if kv.markStale(keys[i], refs[i].e, refs[i].repIdx, refs[i].version) {
+						kv.suspectNode(refs[i].g.Node)
+					}
 					fallback = append(fallback, i)
 					continue
 				}
@@ -281,8 +283,9 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 				// The replica lost the record (wiped node): repairable
 				// divergence, not a miss — another replica may serve, and
 				// the rebuilt node's whole population needs repair.
-				kv.markStale(keys[i], refs[i].e, refs[i].repIdx, refs[i].version)
-				kv.suspectNode(refs[i].g.Node)
+				if kv.markStale(keys[i], refs[i].e, refs[i].repIdx, refs[i].version) {
+					kv.suspectNode(refs[i].g.Node)
+				}
 				fallback = append(fallback, i)
 			case kv.k == 1 && isMissing(results[k].Err):
 				// Unreplicated: the object vanished under us (freed or
@@ -390,7 +393,7 @@ func (kv *KV) multiPutReplicated(keys []string, values [][]byte, last map[string
 		sem <- struct{}{}
 		go func(i int) {
 			defer func() { <-sem; wg.Done() }()
-			errs[i] = kv.putReplicated(keys[i], values[i])
+			errs[i] = kv.Put(keys[i], values[i])
 		}(i)
 	}
 	wg.Wait()
@@ -442,6 +445,7 @@ func (kv *KV) multiPutSingle(keys []string, values [][]byte, last map[string]int
 		for k, i := range act {
 			sizes[k] = len(values[i])
 		}
+		inc := kv.pool.incarnation(node)
 		allocs, aerr := kv.pool.MultiAllocOn(node, sizes)
 		if aerr != nil {
 			for _, i := range act {
@@ -487,7 +491,7 @@ func (kv *KV) multiPutSingle(keys []string, values [][]byte, last map[string]int
 			kv.entries[keys[i]] = &kvEntry{
 				size:    len(values[i]),
 				version: 1,
-				reps:    []kvReplica{{addr: g, classSize: classSize, state: repLive}},
+				reps:    []kvReplica{{addr: g, classSize: classSize, state: repLive, inc: inc}},
 			}
 			kv.mu.Unlock()
 		}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"corm/internal/client"
@@ -62,6 +63,9 @@ type Pool struct {
 	allocs    []int64 // live allocations per node, for least-loaded placement
 	health    []nodeHealth
 	onRecover func(node int) // invoked (outside mu) when a breaker closes
+	// incs numbers each node's incarnations: a breaker trip or a node
+	// suspicion starts a new one (the node may be a rebuilt store).
+	incs []atomic.Uint64
 }
 
 // Dial connects to every node address.
@@ -81,6 +85,7 @@ func Dial(addrs []string) (*Pool, error) {
 	}
 	p.allocs = make([]int64, len(p.nodes))
 	p.health = make([]nodeHealth, len(p.nodes))
+	p.incs = make([]atomic.Uint64, len(p.nodes))
 	return p, nil
 }
 
@@ -94,8 +99,12 @@ func NewFromClients(ctxs []*client.Ctx) *Pool {
 	}
 	p.allocs = make([]int64, len(ctxs))
 	p.health = make([]nodeHealth, len(ctxs))
+	p.incs = make([]atomic.Uint64, len(ctxs))
 	return p
 }
+
+// incarnation reports the node's current incarnation number.
+func (p *Pool) incarnation(node int) uint64 { return p.incs[node].Load() }
 
 func newPool() *Pool {
 	return &Pool{
@@ -294,6 +303,8 @@ type kvReplica struct {
 	// pay a per-read class lookup; 0 means unknown (look up once).
 	classSize int
 	state     uint8
+	inc       uint64 // the node's incarnation when the record was allocated
+	tag       uint64 // the version tag last written into the slot; 0 if untagged
 }
 
 // kvEntry is the client-side index record for one key: the ordered
@@ -340,6 +351,13 @@ type KV struct {
 	// degraded indexes entries below full replication, so the Replicator
 	// scans only what needs work.
 	degraded map[string]*kvEntry
+
+	// rc retires replaced records after a reader grace period and hands
+	// their slots to later Puts (reclaim.go).
+	rc *reclaimer
+	// afterSnapshot, set by tests, runs in get between the snapshot and
+	// the first replica read.
+	afterSnapshot func(key string)
 }
 
 // NewKV builds an unreplicated keyed store over the pool (one copy per
@@ -369,6 +387,7 @@ func NewReplicatedKV(pool *Pool, cfg ReplicationConfig) *KV {
 		entries:  make(map[string]*kvEntry),
 		versions: make(map[string]uint64),
 		degraded: make(map[string]*kvEntry),
+		rc:       newReclaimer(pool),
 	}
 }
 
@@ -478,13 +497,19 @@ func (kv *KV) encodeRecord(tag uint64, value []byte) []byte {
 	return rec
 }
 
-// nextVersion reserves the next version for a key, under kv.mu.
-func (kv *KV) nextVersion(key string) uint64 {
+// nextVersion reserves the next version for a key, under kv.mu. When the
+// key's current record has the new one's size, it also reports that
+// record's slot class (0 if unknown): the new record fits a spare of it.
+func (kv *KV) nextVersion(key string, size int) (version uint64, class int) {
 	kv.mu.Lock()
+	defer kv.mu.Unlock()
 	kv.versions[key]++
-	v := kv.versions[key]
-	kv.mu.Unlock()
-	return v
+	if e := kv.entries[key]; e != nil && e.size == size {
+		for _, r := range e.reps {
+			class = max(class, r.classSize)
+		}
+	}
+	return kv.versions[key], class
 }
 
 // --- degraded-entry accounting (all under kv.mu) ---
@@ -546,93 +571,30 @@ func (kv *KV) degradedSnapshot(limit int) []string {
 	return keys
 }
 
-// Put stores value under key — on its rendezvous node when unreplicated,
-// or fanned out to its top-k rendezvous nodes acking after WriteConcern
-// successes when replicated.
+// Put stores value under key on its top-k rendezvous nodes (k=1: its
+// rendezvous node), writing each replica into a slot nothing else
+// references — a spare or a fresh allocation, never the old record in
+// place (DESIGN.md §12) — and acks after WriteConcern successes. Writes
+// still in flight at ack time finish in the background and fold their
+// outcome into the entry; replicas that failed are marked stale for the
+// repair paths. If fewer than W writes succeed, the Put fails, its slots
+// are retired, and the previous entry stays fully intact.
 func (kv *KV) Put(key string, value []byte) error {
-	if kv.k == 1 {
-		return kv.putSingle(key, value)
-	}
-	return kv.putReplicated(key, value)
-}
-
-// putSingle is the unreplicated Put: free the old object, allocate and
-// write the new one on the key's rendezvous node.
-func (kv *KV) putSingle(key string, value []byte) error {
-	kv.mu.Lock()
-	old := kv.entries[key]
-	kv.mu.Unlock()
-	if old != nil {
-		g := old.reps[0].addr
-		if err := kv.pool.Free(&g); err != nil {
-			return err
-		}
-	}
-	g, err := kv.pool.AllocOn(kv.NodeFor(key), len(value))
-	if err != nil {
-		return err
-	}
-	if err := kv.pool.Write(&g, value); err != nil {
-		// Don't leak the fresh allocation when the write fails; the free
-		// is best-effort — if the node just died it will fail too, and
-		// the node's store is gone with it.
-		kv.pool.Free(&g)
-		return err
-	}
-	// Cache the size class now so every Get skips the class lookup; a
-	// lookup failure is impossible here (the pointer was just minted), but
-	// a 0 cache falls back gracefully in Get anyway.
-	classSize, _ := kv.pool.ClassSize(g)
-	e := &kvEntry{
-		size:    len(value),
-		version: 1,
-		reps:    []kvReplica{{addr: g, classSize: classSize, state: repLive}},
-	}
-	kv.mu.Lock()
-	kv.entries[key] = e
-	kv.mu.Unlock()
-	return nil
-}
-
-// repOutcome is one replica write's result during a Put fan-out.
-type repOutcome struct {
-	i         int
-	addr      GlobalAddr
-	classSize int
-	err       error
-}
-
-// putReplicated writes the record to every replica node in parallel
-// (fresh allocation per replica — the old record survives until the new
-// entry is installed) and acks after W successes. Writes still in flight
-// at ack time finish in the background and fold their outcome into the
-// entry; replicas that failed are marked stale for the repair paths. If
-// fewer than W writes succeed, the Put fails, its allocations are
-// released, and the previous entry stays fully intact.
-func (kv *KV) putReplicated(key string, value []byte) error {
 	nodes := kv.ReplicasFor(key)
-	version := kv.nextVersion(key)
+	version, class := kv.nextVersion(key, len(value))
 	rec := kv.encodeRecord(kv.recordTag(key, version), value)
-	cuReplicatedWrites.Inc()
+	if kv.k > 1 {
+		cuReplicatedWrites.Inc()
+	}
 
-	// Fan out: one goroutine per replica allocates and writes. The write
-	// itself is asynchronous on the node's OpBatch channel (WriteAsync),
-	// so concurrent Puts touching the same node coalesce into one frame.
+	// Fan out: one goroutine per replica. The write itself is asynchronous
+	// on the node's OpBatch channel (WriteAsync), so concurrent Puts touching
+	// the same node coalesce into one frame.
 	res := make(chan repOutcome, len(nodes))
 	for i, node := range nodes {
 		go func(i, node int) {
-			g, err := kv.pool.AllocOn(node, len(rec))
-			if err != nil {
-				res <- repOutcome{i: i, err: err}
-				return
-			}
-			classSize, _ := kv.pool.ClassSize(g)
-			if err := kv.pool.writeAck(&g, rec); err != nil {
-				kv.pool.Free(&g) // best-effort; the node may be gone
-				res <- repOutcome{i: i, err: err}
-				return
-			}
-			res <- repOutcome{i: i, addr: g, classSize: classSize, err: nil}
+			r, err := kv.writeReplica(node, class, rec)
+			res <- repOutcome{i, r, err}
 		}(i, node)
 	}
 
@@ -655,86 +617,120 @@ func (kv *KV) putReplicated(key string, value []byte) error {
 			e.reps[o.i].state = repStale
 			continue
 		}
-		e.reps[o.i] = kvReplica{addr: o.addr, classSize: o.classSize, state: repLive}
+		e.reps[o.i] = o.rep
 		succ++
 	}
 
 	if succ < kv.w {
-		// Unreachable write concern: drain the stragglers, release every
-		// allocation this Put made, and leave the previous entry intact.
+		// Unreachable write concern: retire every slot this Put wrote,
+		// stragglers included, and leave the previous entry intact.
 		cuWriteConcernMisses.Inc()
 		go func(e *kvEntry, pending int) {
 			for ; pending > 0; pending-- {
 				if o := <-res; o.err == nil {
-					g := o.addr
-					kv.pool.Free(&g)
+					kv.rc.retire(o.rep)
 				}
 			}
-			for i := range e.reps {
-				if e.reps[i].state == repLive {
-					g := e.reps[i].addr
-					kv.pool.Free(&g)
-				}
-			}
+			kv.rc.retire(liveRecords(e)...)
 		}(e, pending)
-		return fmt.Errorf("%w: %d/%d acks (replicas=%d): %v",
+		return fmt.Errorf("%w: %d/%d acks (replicas=%d): %w",
 			ErrWriteConcern, succ, kv.w, kv.k, firstErr)
 	}
 
 	// W replicas hold the record: install the entry. A concurrent Put may
 	// have installed a higher version already — then this write lost the
-	// overlap race and releases its own allocations instead.
+	// overlap race and retires its own slots instead.
 	kv.mu.Lock()
 	prev := kv.entries[key]
 	if prev != nil && prev.version > version {
 		kv.mu.Unlock()
-		kv.freeEntrySnapshot(kv.snapshotLive(e))
+		kv.rc.retire(liveRecords(e)...)
 		kv.drainStragglers(key, nil, version, res, pending)
 		return nil
 	}
 	kv.noteRemoved(key, prev)
 	kv.entries[key] = e
 	kv.noteState(key, e)
-	degraded := e.degraded
-	var prevReps []GlobalAddr
+	var prevReps []kvReplica
 	if prev != nil {
-		prevReps = kv.snapshotLive(prev)
+		prevReps = liveRecords(prev)
+	}
+	stale := false
+	for i := range e.reps {
+		stale = stale || e.reps[i].state == repStale
 	}
 	kv.mu.Unlock()
 
-	// The replaced entry's records are garbage now.
-	kv.freeEntrySnapshot(prevReps)
-	if degraded {
+	kv.rc.retire(prevReps...) // readers of the old snapshot may hold them
+	if stale {
 		// A replica write already failed before the ack: queue its repair
 		// now rather than waiting for a read to trip over it or for the
 		// replicator's next paced cycle. If the node is still down, the
-		// repair no-ops and the key stays on the degraded index.
+		// repair no-ops and the key stays on the degraded index. A replica
+		// still pending needs no repair; its straggler reports in.
 		kv.scheduleRepair(key)
 	}
 	// Stragglers keep running; their outcomes fold into the entry (or are
-	// released if the entry moved on).
+	// retired if the entry moved on).
 	kv.drainStragglers(key, e, version, res, pending)
 	return nil
 }
 
-// snapshotLive collects every non-zero replica address of an entry, under
-// kv.mu (callers hold it or own the entry exclusively).
-func (kv *KV) snapshotLive(e *kvEntry) []GlobalAddr {
-	var gs []GlobalAddr
-	for i := range e.reps {
-		if !e.reps[i].addr.Addr.IsZero() {
-			gs = append(gs, e.reps[i].addr)
-		}
-	}
-	return gs
+// repOutcome is one replica write's result during a Put fan-out.
+type repOutcome struct {
+	i   int
+	rep kvReplica
+	err error
 }
 
-// freeEntrySnapshot best-effort releases a set of replica records.
-func (kv *KV) freeEntrySnapshot(gs []GlobalAddr) {
-	for i := range gs {
-		g := gs[i]
-		kv.pool.Free(&g)
+// writeReplica writes rec into a slot on node: a spare of the given class
+// when the reclaimer holds one and it fits, else a fresh allocation. A
+// spare whose write fails goes back to the reclaimer (its slot still holds
+// its old record unless the write landed unacknowledged) and the replica
+// falls back to a fresh allocation.
+func (kv *KV) writeReplica(node, class int, rec []byte) (kvReplica, error) {
+	var tag uint64
+	if kv.tagBytes() > 0 {
+		tag = binary.LittleEndian.Uint64(rec)
 	}
+	if class < len(rec) {
+		class = 0 // no spare fits
+	}
+	if r, ok := kv.rc.take(node, class); ok {
+		var err error = core.ErrCompacting
+		if kv.rc.merging == nil || !kv.rc.merging(r.addr) {
+			err = kv.pool.writeAck(&r.addr, rec, false)
+		}
+		if err == nil {
+			r.state, r.tag = repLive, tag
+			return r, nil
+		}
+		kv.rc.retire(r)
+	}
+	inc := kv.pool.incarnation(node)
+	g, err := kv.pool.AllocOn(node, len(rec))
+	if err != nil {
+		return kvReplica{}, err
+	}
+	classSize, _ := kv.pool.ClassSize(g)
+	r := kvReplica{addr: g, classSize: classSize, state: repLive, inc: inc, tag: tag}
+	if err := kv.pool.writeAck(&r.addr, rec, true); err != nil {
+		kv.rc.retire(r)
+		return kvReplica{}, err
+	}
+	return r, nil
+}
+
+// liveRecords collects every placed replica record of an entry, under kv.mu
+// (callers hold it or own the entry exclusively).
+func liveRecords(e *kvEntry) []kvReplica {
+	var rs []kvReplica
+	for _, r := range e.reps {
+		if !r.addr.Addr.IsZero() {
+			rs = append(rs, r)
+		}
+	}
+	return rs
 }
 
 // drainStragglers folds post-ack write outcomes into the entry: a late
@@ -743,7 +739,7 @@ func (kv *KV) freeEntrySnapshot(gs []GlobalAddr) {
 // notice the miss until a read trips over it or the replicator's paced
 // cycle finds it, and a node that rejoined between the ack and the
 // straggler's failure would otherwise wait out the full interval. If the
-// entry was replaced meanwhile, late allocations are released instead.
+// entry was replaced meanwhile, late slots are retired instead.
 // Runs in the background when pending > 0.
 func (kv *KV) drainStragglers(key string, e *kvEntry, version uint64, res <-chan repOutcome, pending int) {
 	if pending == 0 {
@@ -758,7 +754,7 @@ func (kv *KV) drainStragglers(key string, e *kvEntry, version uint64, res <-chan
 				if o.err != nil {
 					e.reps[o.i].state = repStale
 				} else {
-					e.reps[o.i] = kvReplica{addr: o.addr, classSize: o.classSize, state: repLive}
+					e.reps[o.i] = o.rep
 				}
 				kv.noteState(key, e)
 			}
@@ -767,8 +763,7 @@ func (kv *KV) drainStragglers(key string, e *kvEntry, version uint64, res <-chan
 				kv.scheduleRepair(key)
 			}
 			if !current && o.err == nil {
-				g := o.addr
-				kv.pool.Free(&g)
+				kv.rc.retire(o.rep)
 			}
 		}
 	}()
@@ -785,6 +780,7 @@ func (kv *KV) Get(key string) ([]byte, bool, error) {
 }
 
 func (kv *KV) get(key string, allowRetry bool) ([]byte, bool, error) {
+	defer kv.rc.exit(kv.rc.enter())
 	kv.mu.Lock()
 	e := kv.entries[key]
 	if e == nil {
@@ -796,6 +792,9 @@ func (kv *KV) get(key string, allowRetry bool) ([]byte, bool, error) {
 	reps := make([]kvReplica, len(e.reps))
 	copy(reps, e.reps)
 	kv.mu.Unlock()
+	if kv.afterSnapshot != nil {
+		kv.afterSnapshot(key)
+	}
 
 	tag := kv.tagBytes()
 	var start time.Time
@@ -832,9 +831,11 @@ func (kv *KV) get(key string, allowRetry bool) ([]byte, bool, error) {
 				// missed the write): divergence, not an outage. Mark for
 				// repair — this key and, since a rebuilt store lost every
 				// record it held, the node's whole population — and fail
-				// over.
-				kv.markStale(key, e, i, version)
-				kv.suspectNode(r.addr.Node)
+				// over. Evidence about a replaced entry says nothing
+				// about the node.
+				if kv.markStale(key, e, i, version) {
+					kv.suspectNode(r.addr.Node)
+				}
 			}
 			lastErr = err
 			continue
@@ -846,8 +847,9 @@ func (kv *KV) get(key string, allowRetry bool) ([]byte, bool, error) {
 				// recycled address. Repairable divergence, and recycled
 				// addresses mean the store was rebuilt: suspect the node.
 				cuStaleReads.Inc()
-				kv.markStale(key, e, i, version)
-				kv.suspectNode(r.addr.Node)
+				if kv.markStale(key, e, i, version) {
+					kv.suspectNode(r.addr.Node)
+				}
 				failures++
 				lastErr = fmt.Errorf("%w: key %q replica on node %d has tag %#x, want %#x",
 					ErrStaleReplica, key, r.addr.Node, v, wantTag)
@@ -865,8 +867,8 @@ func (kv *KV) get(key string, allowRetry bool) ([]byte, bool, error) {
 		return buf[tag : tag+size], true, nil
 	}
 
-	// No replica served. The entry may have been replaced mid-read (its
-	// old records freed under us): retry once against the fresh entry.
+	// No replica served. The entry may have been replaced mid-read by one
+	// whose replicas are in better shape: retry once against it.
 	if kv.k > 1 && allowRetry {
 		kv.mu.Lock()
 		changed := kv.entries[key] != e
@@ -885,14 +887,18 @@ func (kv *KV) get(key string, allowRetry bool) ([]byte, bool, error) {
 	return nil, false, lastErr
 }
 
-// markStale flags one replica as divergent, if the entry is still current.
-func (kv *KV) markStale(key string, e *kvEntry, i int, version uint64) {
+// markStale flags one replica as divergent if the entry is still current,
+// and reports whether it was: only evidence about a current entry may
+// implicate the node.
+func (kv *KV) markStale(key string, e *kvEntry, i int, version uint64) bool {
 	kv.mu.Lock()
-	if kv.entries[key] == e && e.version == version && e.reps[i].state == repLive {
+	defer kv.mu.Unlock()
+	current := kv.entries[key] == e && e.version == version
+	if current && e.reps[i].state == repLive {
 		e.reps[i].state = repStale
 		kv.noteState(key, e)
 	}
-	kv.mu.Unlock()
+	return current
 }
 
 // suspectNode marks every entry's live replica on one node stale. One
@@ -903,9 +909,11 @@ func (kv *KV) markStale(key string, e *kvEntry, i int, version uint64) {
 // wiped copy — one detection queues the node's full population for the
 // replicator. A false suspicion (a benign missing-record race) costs one
 // verified re-copy per key, never correctness: repair reads from a
-// tag-verified live replica before touching the suspect.
+// tag-verified live replica before touching the suspect. A suspicion also
+// starts a new incarnation of the node, so its spare slots are dropped.
 func (kv *KV) suspectNode(node int) {
 	cuNodeSuspicions.Inc()
+	kv.pool.incs[node].Add(1)
 	kv.mu.Lock()
 	for key, e := range kv.entries {
 		for i := range e.reps {
@@ -939,10 +947,11 @@ func (kv *KV) scheduleRepair(key string) {
 // RepairKey re-populates every repairable stale replica of a key from a
 // live one: it fetches the authoritative record (verifying the version
 // tag), writes a fresh copy onto each stale replica's node, folds the new
-// placement into the index, and releases the divergent record. Replicas
+// placement into the index, and retires the divergent record. Replicas
 // whose node is still down are left for a later pass. It returns how many
 // replicas were restored.
 func (kv *KV) RepairKey(key string) (int, error) {
+	defer kv.rc.exit(kv.rc.enter())
 	kv.mu.Lock()
 	e := kv.entries[key]
 	if e == nil || e.repairing {
@@ -957,6 +966,7 @@ func (kv *KV) RepairKey(key string) (int, error) {
 	}
 	var stale []staleRep
 	var live []kvReplica
+	class := 0
 	for i := range e.reps {
 		r := e.reps[i]
 		switch r.state {
@@ -966,6 +976,7 @@ func (kv *KV) RepairKey(key string) (int, error) {
 			}
 		case repLive:
 			live = append(live, r)
+			class = max(class, r.classSize)
 		}
 	}
 	if len(stale) == 0 || len(live) == 0 {
@@ -989,17 +1000,8 @@ func (kv *KV) RepairKey(key string) (int, error) {
 	repaired := 0
 	var firstErr error
 	for _, s := range stale {
-		g, err := kv.pool.AllocOn(s.node, len(rec))
+		r, err := kv.writeReplica(s.node, class, rec)
 		if err != nil {
-			cuRepairFails.Inc()
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		classSize, _ := kv.pool.ClassSize(g)
-		if err := kv.pool.writeAck(&g, rec); err != nil {
-			kv.pool.Free(&g)
 			cuRepairFails.Inc()
 			if firstErr == nil {
 				firstErr = err
@@ -1008,49 +1010,47 @@ func (kv *KV) RepairKey(key string) (int, error) {
 		}
 		kv.mu.Lock()
 		if kv.entries[key] == e && e.version == version && e.reps[s.i].state == repStale {
-			old := e.reps[s.i].addr
-			e.reps[s.i] = kvReplica{addr: g, classSize: classSize, state: repLive}
+			old := e.reps[s.i]
+			e.reps[s.i] = r
 			kv.noteState(key, e)
 			kv.mu.Unlock()
 			repaired++
 			cuReplicasRepaired.Inc()
-			if !old.Addr.IsZero() {
-				kv.freeIfOurs(key, version, old)
+			// A rebuilt store may have handed the new copy the old
+			// record's address: then there is nothing to retire.
+			if !old.addr.Addr.IsZero() && old.addr != r.addr {
+				kv.retireIfOurs(key, version, old)
 			}
 		} else {
 			kv.mu.Unlock()
-			kv.pool.Free(&g) // the entry moved on; this copy is orphaned
+			kv.rc.retire(r) // the entry moved on; this copy is orphaned
 		}
 	}
 	return repaired, firstErr
 }
 
-// freeIfOurs releases a replaced replica record only when its address
+// retireIfOurs retires a replaced replica record only when its address
 // provably still holds this key's current record (version tag verified
-// by a read-before-free). A rebuilt store recycles virtual addresses, so
+// by a read-before-retire). A rebuilt store recycles virtual addresses, so
 // an unconditional free of the "old divergent record" could land on
 // another key's freshly repaired replica living at the reused address
 // and destroy it. Anything that doesn't prove to be ours is left alone:
 // on a wiped node the record is already gone (the rebuild reclaimed it
 // wholesale), and a genuinely divergent old-version record was already
-// best-effort freed when its Put was superseded.
-func (kv *KV) freeIfOurs(key string, version uint64, old GlobalAddr) {
-	tag := kv.tagBytes()
-	if tag == 0 {
+// retired when its Put was superseded. A record that proves ours is
+// retired under the incarnation it was read on, even if a suspicion
+// started a new one since it was allocated.
+func (kv *KV) retireIfOurs(key string, version uint64, old kvReplica) {
+	if kv.tagBytes() > 0 {
 		// Untagged records (k==1) never reach the repair path; if they
-		// did, there is no way to verify ownership — free as before.
-		kv.pool.Free(&old)
-		return
+		// did, there is no way to verify ownership — retire as before.
+		inc := kv.pool.incarnation(old.addr.Node)
+		if !kv.pool.holdsTag(&old.addr, kv.recordTag(key, version)) {
+			return
+		}
+		old.inc = inc
 	}
-	buf := make([]byte, tag)
-	g := old
-	if _, err := kv.pool.SmartRead(&g, buf); err != nil {
-		return
-	}
-	if binary.LittleEndian.Uint64(buf) != kv.recordTag(key, version) {
-		return
-	}
-	kv.pool.Free(&g)
+	kv.rc.retire(old)
 }
 
 // fetchRecord reads the full stored record (version tag included) from
@@ -1078,34 +1078,25 @@ func (kv *KV) fetchRecord(live []kvReplica, wantTag uint64, size int) ([]byte, b
 	return nil, false
 }
 
-// Delete frees a key's object on every replica. Replicas whose node is
-// down (or whose record is already gone) are skipped best-effort: a wiped
-// node has nothing to free, and a dead one cannot be reached.
+// Delete frees a key's object on every replica after the grace period (and,
+// when it empties the index, every spare slot). Replicas whose node is down
+// (or whose record is already gone) are skipped best-effort: a wiped node
+// has nothing to free, and a dead one cannot be reached.
 func (kv *KV) Delete(key string) error {
 	kv.mu.Lock()
 	e := kv.entries[key]
 	delete(kv.entries, key)
 	kv.noteRemoved(key, e)
+	var recs []kvReplica
+	if e != nil {
+		recs = liveRecords(e)
+	}
+	empty := len(kv.entries) == 0
 	kv.mu.Unlock()
 	if e == nil {
 		return nil
 	}
-	if kv.k == 1 {
-		g := e.reps[0].addr
-		return kv.pool.Free(&g)
-	}
-	var firstErr error
-	for i := range e.reps {
-		if e.reps[i].addr.Addr.IsZero() {
-			continue
-		}
-		g := e.reps[i].addr
-		if err := kv.pool.Free(&g); err != nil && firstErr == nil &&
-			!isMissing(err) && !errors.Is(err, ErrNodeDown) {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return kv.rc.drain(recs, empty)
 }
 
 // Len reports the number of keys.

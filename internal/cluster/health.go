@@ -116,6 +116,7 @@ func (p *Pool) observe(node int, err error) {
 	h.consecFails++
 	if h.consecFails >= p.FailThreshold && !h.open {
 		h.open = true
+		p.incs[node].Add(1)
 		cuBreakerTrips.Inc()
 		cuOpenBreakers.Inc()
 	}

@@ -14,6 +14,7 @@ import (
 	"sort"
 	"time"
 
+	"corm/internal/core"
 	"corm/internal/transport"
 )
 
@@ -40,12 +41,20 @@ type ReplicaSet struct {
 // writeAckRetries bounds re-issues of a replica write across transport
 // reconnects. Plain writes are never auto-retried (a lost frame cannot
 // tell whether the server applied it), but every writeAck caller targets
-// a freshly allocated address nothing else references yet — re-issuing
-// the same bytes to a private slot is idempotent by construction. This
-// matters right after a node rejoins: the first write on each pooled
-// channel finds the old connection dead, and without the retry it would
-// spuriously fail the replica (or the repair) instead of redialing.
+// a slot it owns exclusively — a fresh allocation, or a spare the KV's
+// reclaimer handed to exactly one Put after no index entry and no reader
+// could reference it — so re-issuing the same bytes is idempotent by
+// construction. This matters right after a node rejoins: the first write
+// on each pooled channel finds the old connection dead, and without the
+// retry it would spuriously fail the replica (or the repair) instead of
+// redialing. Spares are written with reissue off all the same: a
+// reconnect may reach a rebuilt store where their address is another
+// record's.
 const writeAckRetries = 2
+
+// mergeBackoff paces the re-issue of a write whose block a merge holds
+// (ErrCompacting), doubling per attempt: the paper's protocol is to retry.
+const mergeBackoff = 100 * time.Microsecond
 
 // writeAck issues one replica write through the node's asynchronous write
 // batcher and waits for its acknowledgement. Because the write rides the
@@ -53,8 +62,8 @@ const writeAckRetries = 2
 // against the same node coalesce into one frame; the immediate Flush
 // bounds the added latency to at most one coalescing window. Pointer
 // corrections fold into g; every attempt's outcome feeds the node's
-// breaker.
-func (p *Pool) writeAck(g *GlobalAddr, payload []byte) error {
+// breaker. With reissue, a transport fault or a merge re-issues the write.
+func (p *Pool) writeAck(g *GlobalAddr, payload []byte, reissue bool) error {
 	if g.Node < 0 || g.Node >= len(p.nodes) {
 		return p.errNodeRange(g.Node)
 	}
@@ -63,13 +72,17 @@ func (p *Pool) writeAck(g *GlobalAddr, payload []byte) error {
 	}
 	ctx := p.nodes[g.Node]
 	var err error
-	for attempt := 0; attempt <= writeAckRetries; attempt++ {
+	for attempt := 0; ; attempt++ {
 		fut := ctx.WriteAsync(&g.Addr, payload)
 		ctx.Flush()
 		_, err = fut.Wait()
 		p.observe(g.Node, err)
-		if err == nil || !transport.IsRetryable(err) {
+		merging := errors.Is(err, core.ErrCompacting)
+		if err == nil || !reissue || attempt == writeAckRetries || !(merging || transport.IsRetryable(err)) {
 			break
+		}
+		if merging {
+			time.Sleep(mergeBackoff << attempt)
 		}
 	}
 	return p.nodeErr(g.Node, err)
@@ -153,12 +166,14 @@ func (p *Pool) pickReplicaNodes(k int) ([]int, error) {
 }
 
 // WriteReplicated writes the payload to every replica in parallel and
-// returns once w replicas acknowledged (w<=0 or w>k means all). Writes
-// still in flight complete in the background (their breaker outcomes are
-// still observed; their pointer corrections are dropped — the stale
-// virtual address remains resolvable one-sidedly via ScanRead). If w acks
-// are unreachable, the first failure is returned wrapped in
-// ErrWriteConcern.
+// returns once w replicas acknowledged (w<=0 or w>k means all), among them
+// the first replica in set order that did not fail: ReadReplicated serves
+// the first replica in set order that answers, so that one must not be a
+// write still in flight. Writes still in flight complete in the background
+// (their breaker outcomes are still observed; their pointer corrections
+// are dropped — the stale virtual address remains resolvable one-sidedly
+// via ScanRead). If w acks are unreachable, the first failure is returned
+// wrapped in ErrWriteConcern.
 func (p *Pool) WriteReplicated(rs *ReplicaSet, payload []byte, w int) error {
 	k := len(rs.Reps)
 	if k == 0 {
@@ -178,22 +193,30 @@ func (p *Pool) WriteReplicated(rs *ReplicaSet, payload []byte, w int) error {
 		// caller's set after WriteReplicated returns.
 		g := rs.Reps[i]
 		go func(i int, g GlobalAddr) {
-			err := p.writeAck(&g, payload)
+			err := p.writeAck(&g, payload, true)
 			ch <- out{i: i, g: g, err: err}
 		}(i, g)
 	}
-	succ, pending := 0, k
+	// first is the first replica in set order not known to have failed;
+	// the ack waits for it too.
+	state := make([]int8, k) // 0 in flight, 1 acked, -1 failed
+	first, succ, pending := 0, 0, k
 	var firstErr error
-	for pending > 0 && succ < w && succ+pending >= w {
+	for pending > 0 && (succ < w || state[first] == 0) && succ+pending >= w {
 		o := <-ch
 		pending--
 		if o.err != nil {
 			if firstErr == nil {
 				firstErr = o.err
 			}
+			state[o.i] = -1
+			for first < k-1 && state[first] < 0 {
+				first++
+			}
 			continue
 		}
 		rs.Reps[o.i] = o.g // fold the corrected pointer
+		state[o.i] = 1
 		succ++
 	}
 	if pending > 0 {
