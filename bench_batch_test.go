@@ -9,6 +9,7 @@ package corm
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"corm/internal/core"
 )
@@ -112,4 +113,82 @@ func BenchmarkReadAsyncPipelined(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+}
+
+// TestAsyncBatchAllocBudget pins the async facade: 64 ReadAsync, 64
+// WriteAsync or 64 FetchAddAsync calls, flushed as one batch and waited on,
+// cost at most 205 allocations per batch on either wire, client and
+// in-process server together. Every future costs two (the future and its
+// channel); the rest is the flush. A batcher that built its flush function
+// on every call would show here first.
+func TestAsyncBatchAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting in -short")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budgets hold for production builds")
+	}
+	const batch, budget = 64, 205
+	for _, v := range wireVariants {
+		t.Run(v.name, func(t *testing.T) {
+			cli, addrs := benchWireClientT(t, v.disableSHM, batch)
+			// The batch dispatches when it fills; the window never fires
+			// mid-burst, so every measured batch has the same shape.
+			cli.AsyncMaxBatch = batch
+			cli.AsyncWindow = time.Minute
+			bufs := make([][]byte, batch)
+			for i := range bufs {
+				bufs[i] = make([]byte, 64)
+			}
+			payload := make([]byte, 64)
+			futs := make([]*Future, batch)
+			afuts := make([]*AtomicFuture, batch)
+			wait := func() {
+				cli.Flush()
+				for _, f := range futs {
+					if _, err := f.Wait(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			kinds := []struct {
+				name string
+				run  func()
+			}{
+				{"ReadAsync", func() {
+					for i := range addrs {
+						futs[i] = cli.ReadAsync(addrs[i], bufs[i])
+					}
+					wait()
+				}},
+				{"WriteAsync", func() {
+					for i := range addrs {
+						futs[i] = cli.WriteAsync(addrs[i], payload)
+					}
+					wait()
+				}},
+				{"FetchAddAsync", func() {
+					for i := range addrs {
+						afuts[i] = cli.FetchAddAsync(addrs[i], 0, 1)
+					}
+					cli.Flush()
+					for _, f := range afuts {
+						if _, err := f.Wait(); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}},
+			}
+			for _, k := range kinds {
+				for i := 0; i < 8; i++ {
+					k.run()
+				}
+				allocs := testing.AllocsPerRun(50, k.run)
+				t.Logf("%s: %.0f allocs per %d-op batch", k.name, allocs, batch)
+				if allocs > budget {
+					t.Errorf("%s costs %.0f allocs per %d-op batch, budget %d", k.name, allocs, batch, budget)
+				}
+			}
+		})
+	}
 }

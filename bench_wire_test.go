@@ -295,6 +295,44 @@ func TestLocalReadAllocBudget(t *testing.T) {
 	}
 }
 
+// TestStoreReadAllocBudget pins the store's own Read, the path direct
+// store users (drills, the soak's canary check) take: it stages the slot in
+// a pooled buffer and allocates nothing.
+func TestStoreReadAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc accounting in -short")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budgets hold for production builds")
+	}
+	srv, err := NewServer(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	store := srv.Store()
+	res, err := store.AllocOn(0, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := res.Addr
+	if err := store.Write(&addr, make([]byte, 1024)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, store.ClassSize(int(addr.Class())))
+	read := func() {
+		if _, err := store.Read(&addr, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		read()
+	}
+	if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
+		t.Fatalf("Store.Read costs %.1f allocs/op, budget 0", allocs)
+	}
+}
+
 // benchWireClientT is benchWireClient for plain tests.
 func benchWireClientT(t *testing.T, disableSHM bool, count int) (*Client, []*core.Addr) {
 	t.Helper()

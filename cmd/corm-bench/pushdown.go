@@ -84,11 +84,11 @@ func measurePushdownSync(gor int) wireNumbers {
 
 // measurePushdownAsync runs gor goroutines each keeping a window of
 // FetchAddAsync futures in flight against the same key; the client
-// coalesces them into OpMultiRMW frames. Dedup tokens make the pipelining
-// safe — this is the throughput form a counter service would actually
-// run, and the one the emulation has no answer to: its lock admits one
-// un-pipelined Read+Write pair at a time no matter how many callers pile
-// up.
+// coalesces them into OpBatch frames of tokened FetchAdds. Dedup tokens
+// make the pipelining safe — this is the throughput form a counter service
+// would actually run, and the one the emulation has no answer to: its lock
+// admits one un-pipelined Read+Write pair at a time no matter how many
+// callers pile up.
 func measurePushdownAsync(gor int) wireNumbers {
 	const window = 64
 	cli, ctr, done := pushdownNode()
@@ -174,7 +174,7 @@ func runPushdown(args []string) {
 	fs.Parse(args)
 
 	res := pushdownResult{
-		Note:    "one 8B counter over TCP+shm loopback; emulated = lock+Read+Write (the correct client-side form); fetchadd_async = 64 futures in flight coalescing into OpMultiRMW",
+		Note:    "one 8B counter over TCP+shm loopback; emulated = lock+Read+Write (the correct client-side form); fetchadd_async = 64 futures in flight coalescing into OpBatch frames",
 		Numbers: map[string]wireNumbers{},
 		Bars:    map[string]bool{},
 	}

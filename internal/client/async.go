@@ -1,13 +1,18 @@
-// Asynchronous reads and writes with transparent coalescing. ReadAsync and
-// WriteAsync return a Future immediately; an internal batcher gathers every
-// operation issued within a small window (AsyncWindow) — or until
-// AsyncMaxBatch operations are pending — and flushes them as one OpBatch
-// frame. Callers that naturally issue bursts of independent operations
-// (index probes, scatter-gather KV lookups, replica write fan-out) get
-// doorbell-style batching without restructuring their code around Multi*
-// calls; the futures resolve individually, each with its own status and
-// corrected pointer. Reads and writes batch separately: reads are
-// idempotent (re-issued across reconnects), writes are not.
+// Asynchronous operations with transparent coalescing. ReadAsync,
+// WriteAsync and FetchAddAsync return a future immediately; a batcher
+// gathers every operation issued within a small window (AsyncWindow) — or
+// until AsyncMaxBatch operations are pending — and flushes them as one
+// OpBatch frame. Callers that naturally issue bursts of independent
+// operations (index probes, scatter-gather KV lookups, replica write
+// fan-out, counter bumps) get doorbell-style batching without
+// restructuring their code around Multi* calls; the futures resolve
+// individually, each with its own status and corrected pointer.
+//
+// There is one batcher type and three queues of it, one per retry rule: a
+// frame is re-issued across transport reconnects only if every sub-op in
+// it may be. Reads are idempotent and tokened atomics are deduplicated by
+// the server, so their frames are re-issued; a lost write frame cannot tell
+// whether the server applied it, so writes never share a frame with them.
 package client
 
 import (
@@ -38,153 +43,6 @@ func (f *Future) resolve(n int, err error) {
 	close(f.done)
 }
 
-// asyncOp is one pending future awaiting the next flush. buf is the
-// caller's destination buffer for reads and the payload for writes.
-type asyncOp struct {
-	addr *core.Addr
-	buf  []byte
-	fut  *Future
-}
-
-// batcher coalesces asynchronous operations into OpBatch flushes.
-type batcher struct {
-	mu      sync.Mutex
-	pending []asyncOp
-	timer   *time.Timer // armed while pending is non-empty
-}
-
-// take removes and returns the pending set, disarming the window timer.
-func (b *batcher) take() []asyncOp {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.takeLocked()
-}
-
-func (b *batcher) takeLocked() []asyncOp {
-	batch := b.pending
-	b.pending = nil
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return batch
-}
-
-// ReadAsync enqueues an RPC read and returns a future for its completion.
-// The read is dispatched when either AsyncWindow elapses or AsyncMaxBatch
-// reads are pending, whichever comes first — coalesced with every other
-// read enqueued meanwhile into a single OpBatch round trip. Like Read, the
-// batch is idempotent and re-issued across transport reconnects, and the
-// pointer is corrected in place before the future resolves.
-func (c *Ctx) ReadAsync(addr *core.Addr, buf []byte) *Future {
-	return c.enqueue(&c.batch, addr, buf, c.flushBatch)
-}
-
-// WriteAsync enqueues a write of payload and returns a future for its
-// completion. Writes enqueued within the coalescing window dispatch as a
-// single MultiWrite round trip — replica fan-outs from many concurrent
-// Puts against the same node share frames. Like Write, the batch is NOT
-// re-issued across transport reconnects (a lost frame cannot tell whether
-// the server applied it), and the pointer is corrected in place before the
-// future resolves.
-func (c *Ctx) WriteAsync(addr *core.Addr, payload []byte) *Future {
-	return c.enqueue(&c.wbatch, addr, payload, c.flushWriteBatch)
-}
-
-// enqueue appends one operation to a batcher and arms its dispatch: flush
-// immediately at AsyncMaxBatch, otherwise when AsyncWindow elapses.
-func (c *Ctx) enqueue(b *batcher, addr *core.Addr, buf []byte, flush func([]asyncOp)) *Future {
-	f := &Future{done: make(chan struct{})}
-	b.mu.Lock()
-	b.pending = append(b.pending, asyncOp{addr: addr, buf: buf, fut: f})
-	switch {
-	case len(b.pending) >= c.AsyncMaxBatch:
-		batch := b.takeLocked()
-		b.mu.Unlock()
-		go flush(batch)
-	case len(b.pending) == 1:
-		b.timer = time.AfterFunc(c.AsyncWindow, func() { flush(b.take()) })
-		b.mu.Unlock()
-	default:
-		b.mu.Unlock()
-	}
-	return f
-}
-
-// Flush dispatches any pending asynchronous reads and writes immediately,
-// without waiting for the coalescing window. It does not wait for their
-// futures.
-func (c *Ctx) Flush() {
-	if batch := c.batch.take(); len(batch) > 0 {
-		go c.flushBatch(batch)
-	}
-	if batch := c.wbatch.take(); len(batch) > 0 {
-		go c.flushWriteBatch(batch)
-	}
-	if batch := c.abatch.take(); len(batch) > 0 {
-		go c.flushAtomicBatch(batch)
-	}
-}
-
-// flushBatch issues one coalesced MultiRead and resolves every future.
-func (c *Ctx) flushBatch(batch []asyncOp) {
-	if len(batch) == 0 {
-		return
-	}
-	clAsyncFlushSize.Observe(int64(len(batch)))
-	addrs := make([]*core.Addr, len(batch))
-	bufs := make([][]byte, len(batch))
-	for i, r := range batch {
-		addrs[i] = r.addr
-		bufs[i] = r.buf
-	}
-	results, err := c.MultiRead(addrs, bufs)
-	for i, r := range batch {
-		if err != nil {
-			r.fut.resolve(0, err)
-			continue
-		}
-		r.fut.resolve(results[i].N, results[i].Err)
-	}
-}
-
-// flushWriteBatch issues one coalesced MultiWrite and resolves every
-// future.
-func (c *Ctx) flushWriteBatch(batch []asyncOp) {
-	if len(batch) == 0 {
-		return
-	}
-	clAsyncFlushSize.Observe(int64(len(batch)))
-	addrs := make([]*core.Addr, len(batch))
-	payloads := make([][]byte, len(batch))
-	for i, w := range batch {
-		addrs[i] = w.addr
-		payloads[i] = w.buf
-	}
-	results, err := c.MultiWrite(addrs, payloads)
-	for i, w := range batch {
-		if err != nil {
-			w.fut.resolve(0, err)
-			continue
-		}
-		w.fut.resolve(results[i].N, results[i].Err)
-	}
-}
-
-// drainAsync resolves all pending futures with err without issuing I/O;
-// Close uses it so no future ever hangs on a closed context.
-func (c *Ctx) drainAsync(err error) {
-	for _, r := range c.batch.take() {
-		r.fut.resolve(0, err)
-	}
-	for _, w := range c.wbatch.take() {
-		w.fut.resolve(0, err)
-	}
-	for _, a := range c.abatch.take() {
-		a.fut.resolve(0, err)
-	}
-}
-
 // AtomicFuture resolves to the outcome of one asynchronous pushdown atomic.
 type AtomicFuture struct {
 	done chan struct{}
@@ -205,7 +63,17 @@ func (f *AtomicFuture) resolve(val uint64, err error) {
 	close(f.done)
 }
 
-// atomicOp is one pending pushdown atomic awaiting the next flush.
+// asyncOp is one pending read or write awaiting the next flush. buf is the
+// caller's destination buffer for reads and the payload for writes.
+type asyncOp struct {
+	addr *core.Addr
+	buf  []byte
+	fut  *Future
+}
+
+func (o asyncOp) fail(err error) { o.fut.resolve(0, err) }
+
+// atomicOp is one pending pushdown fetch-add awaiting the next flush.
 type atomicOp struct {
 	addr  *core.Addr
 	off   int
@@ -213,23 +81,50 @@ type atomicOp struct {
 	fut   *AtomicFuture
 }
 
-// abatcher coalesces asynchronous pushdown atomics into OpMultiRMW flushes.
-// Separate from the read/write batchers: atomics carry dedup tokens, so the
-// frame is re-issued across reconnects like reads, but resolves RMWResults
-// rather than byte counts.
-type abatcher struct {
+func (o atomicOp) fail(err error) { o.fut.resolve(0, err) }
+
+// batcher coalesces pending operations of one kind into flushes. Its flush
+// function is bound once, by init, so enqueueing allocates nothing beyond
+// the operation's own future.
+type batcher[T interface{ fail(error) }] struct {
 	mu      sync.Mutex
-	pending []atomicOp
-	timer   *time.Timer
+	pending []T
+	timer   *time.Timer // armed while pending is non-empty
+	flush   func([]T)
+	onTimer func() // flushes whatever the window gathered
 }
 
-func (b *abatcher) take() []atomicOp {
+func (b *batcher[T]) init(flush func([]T)) {
+	b.flush = flush
+	b.onTimer = func() { b.flush(b.take()) }
+}
+
+// add enqueues op and arms its dispatch: flush immediately once max ops
+// are pending, otherwise when window elapses.
+func (b *batcher[T]) add(op T, max int, window time.Duration) {
+	b.mu.Lock()
+	b.pending = append(b.pending, op)
+	switch {
+	case len(b.pending) >= max:
+		batch := b.takeLocked()
+		b.mu.Unlock()
+		go b.flush(batch)
+	case len(b.pending) == 1:
+		b.timer = time.AfterFunc(window, b.onTimer)
+		b.mu.Unlock()
+	default:
+		b.mu.Unlock()
+	}
+}
+
+// take removes and returns the pending set, disarming the window timer.
+func (b *batcher[T]) take() []T {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.takeLocked()
 }
 
-func (b *abatcher) takeLocked() []atomicOp {
+func (b *batcher[T]) takeLocked() []T {
 	batch := b.pending
 	b.pending = nil
 	if b.timer != nil {
@@ -239,32 +134,89 @@ func (b *abatcher) takeLocked() []atomicOp {
 	return batch
 }
 
-// FetchAddAsync enqueues a pushdown fetch-add and returns a future for its
-// pre-add value. Atomics enqueued within the coalescing window dispatch as
-// one OpMultiRMW round trip — the doorbell batching that lets a counter
-// workload push many increments per wire exchange while each stays
-// individually atomic server-side.
-func (c *Ctx) FetchAddAsync(addr *core.Addr, off int, delta int64) *AtomicFuture {
-	f := &AtomicFuture{done: make(chan struct{})}
-	b := &c.abatch
-	b.mu.Lock()
-	b.pending = append(b.pending, atomicOp{addr: addr, off: off, delta: delta, fut: f})
-	switch {
-	case len(b.pending) >= c.AsyncMaxBatch:
-		batch := b.takeLocked()
-		b.mu.Unlock()
-		go c.flushAtomicBatch(batch)
-	case len(b.pending) == 1:
-		b.timer = time.AfterFunc(c.AsyncWindow, func() { c.flushAtomicBatch(b.take()) })
-		b.mu.Unlock()
-	default:
-		b.mu.Unlock()
+// dispatch flushes the pending set now, without waiting for the window.
+func (b *batcher[T]) dispatch() {
+	if batch := b.take(); len(batch) > 0 {
+		go b.flush(batch)
 	}
+}
+
+// drain fails every pending operation with err without issuing I/O, so no
+// future hangs on a closed context.
+func (b *batcher[T]) drain(err error) {
+	for _, op := range b.take() {
+		op.fail(err)
+	}
+}
+
+// ReadAsync enqueues an RPC read and returns a future for its completion.
+// The read is coalesced with every other read enqueued within the window
+// into a single MultiRead round trip. Like Read, the batch is idempotent
+// and re-issued across transport reconnects, and the pointer is corrected
+// in place before the future resolves.
+func (c *Ctx) ReadAsync(addr *core.Addr, buf []byte) *Future {
+	f := &Future{done: make(chan struct{})}
+	c.reads.add(asyncOp{addr: addr, buf: buf, fut: f}, c.AsyncMaxBatch, c.AsyncWindow)
 	return f
 }
 
-// flushAtomicBatch issues one coalesced RMW and resolves every future.
-func (c *Ctx) flushAtomicBatch(batch []atomicOp) {
+// WriteAsync enqueues a write of payload and returns a future for its
+// completion. Writes enqueued within the coalescing window dispatch as a
+// single MultiWrite round trip — replica fan-outs from many concurrent
+// Puts against the same node share frames. Like Write, the batch is NOT
+// re-issued across transport reconnects, and the pointer is corrected in
+// place before the future resolves.
+func (c *Ctx) WriteAsync(addr *core.Addr, payload []byte) *Future {
+	f := &Future{done: make(chan struct{})}
+	c.writes.add(asyncOp{addr: addr, buf: payload, fut: f}, c.AsyncMaxBatch, c.AsyncWindow)
+	return f
+}
+
+// FetchAddAsync enqueues a pushdown fetch-add and returns a future for its
+// pre-add value. Atomics enqueued within the coalescing window dispatch as
+// one RMW round trip — the doorbell batching that lets a counter workload
+// push many increments per wire exchange while each stays individually
+// atomic server-side.
+func (c *Ctx) FetchAddAsync(addr *core.Addr, off int, delta int64) *AtomicFuture {
+	f := &AtomicFuture{done: make(chan struct{})}
+	c.atomics.add(atomicOp{addr: addr, off: off, delta: delta, fut: f}, c.AsyncMaxBatch, c.AsyncWindow)
+	return f
+}
+
+// Flush dispatches every pending asynchronous operation immediately,
+// without waiting for the coalescing window. It does not wait for their
+// futures.
+func (c *Ctx) Flush() {
+	c.reads.dispatch()
+	c.writes.dispatch()
+	c.atomics.dispatch()
+}
+
+// flushOps issues one coalesced MultiRead or MultiWrite and resolves every
+// future.
+func (c *Ctx) flushOps(batch []asyncOp, multi func([]*core.Addr, [][]byte) ([]OpResult, error)) {
+	if len(batch) == 0 {
+		return
+	}
+	clAsyncFlushSize.Observe(int64(len(batch)))
+	addrs := make([]*core.Addr, len(batch))
+	bufs := make([][]byte, len(batch))
+	for i, op := range batch {
+		addrs[i] = op.addr
+		bufs[i] = op.buf
+	}
+	results, err := multi(addrs, bufs)
+	for i, op := range batch {
+		if err != nil {
+			op.fut.resolve(0, err)
+			continue
+		}
+		op.fut.resolve(results[i].N, results[i].Err)
+	}
+}
+
+// flushAtomics issues one coalesced RMW and resolves every future.
+func (c *Ctx) flushAtomics(batch []atomicOp) {
 	if len(batch) == 0 {
 		return
 	}

@@ -223,11 +223,11 @@ func (c *Ctx) RMW(ops []RMWOp) ([]RMWResult, error) {
 	}
 }
 
-// rmwOnce issues one OpMultiRMW frame covering ops[idx...], decoding each
+// rmwOnce issues one OpBatch frame covering ops[idx...], decoding each
 // sub-response into results[idx[k]].
 func (c *Ctx) rmwOnce(ops []RMWOp, idx []int, results []RMWResult) error {
 	scratch := getScratch(0)
-	err := c.callBatchOp(rpc.OpMultiRMW, len(idx), true,
+	err := c.callBatch(len(idx), true,
 		func(k int) rpc.Request {
 			op := &ops[idx[k]]
 			scratch = scratch[:0]

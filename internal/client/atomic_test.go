@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"testing"
+	"time"
 
 	"corm/internal/core"
+	"corm/internal/fault"
 	"corm/internal/rpc"
 )
 
@@ -184,7 +186,7 @@ func TestRMWMixedBatch(t *testing.T) {
 
 func TestMultiFetchAdd(t *testing.T) {
 	eachBackend(t, func(t *testing.T, _ *core.Store, ctx *Ctx) {
-		// 64 ops: large enough that the server shards the MultiRMW batch
+		// 64 ops: large enough that the server shards the RMW batch
 		// across idle worker tokens.
 		addrs := make([]*core.Addr, 64)
 		for i := range addrs {
@@ -210,6 +212,53 @@ func TestMultiFetchAdd(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestMultiFetchAddRetriesAcrossConnReset: an RMW batch rides OpBatch with
+// every sub-op tokened, so a connection reset mid-batch is invisible to
+// MultiFetchAdd — the frame is re-issued over a re-dialed channel — and
+// each counter advances exactly once.
+func TestMultiFetchAddRetriesAcrossConnReset(t *testing.T) {
+	_, ts := newRetryServer(t)
+	inj := fault.NewInjector(35, fault.Plan{})
+	opts := fastOpts()
+	opts.Dialer = inj.Dial
+	ctx, err := CreateCtxOptions(ts.Addr(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctx.Close()
+
+	addrs := make([]*core.Addr, 8)
+	for i := range addrs {
+		a := counterObj(t, ctx, 16)
+		addrs[i] = &a
+	}
+	// Exactly one frame is lost: the reset disarms as soon as it fires.
+	inj.SetPlan(fault.Plan{ResetAfterWrites: 1})
+	go func() {
+		for inj.Stats().Resets == 0 {
+			time.Sleep(50 * time.Microsecond)
+		}
+		inj.SetPlan(fault.Plan{})
+	}()
+	results, err := ctx.MultiFetchAdd(addrs, 0, 1)
+	if err != nil {
+		t.Fatalf("MultiFetchAdd across reset: %v", err)
+	}
+	for i, r := range results {
+		if r.Err != nil || r.Old != 0 {
+			t.Fatalf("op %d across reset: %+v", i, r)
+		}
+	}
+	if inj.Stats().Resets == 0 {
+		t.Fatal("fault never fired; test proved nothing")
+	}
+	for i, a := range addrs {
+		if v, err := ctx.FetchAdd(a, 0, 0); err != nil || v != 1 {
+			t.Fatalf("counter %d = %d, %v; want 1", i, v, err)
+		}
+	}
 }
 
 func TestFetchAddAsync(t *testing.T) {

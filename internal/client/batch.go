@@ -5,7 +5,8 @@
 // visible (and as transparent) as with single operations.
 //
 // Retry rules are enforced per batch kind: MultiRead batches contain only
-// idempotent sub-ops and are re-issued across transport reconnects like
+// idempotent sub-ops and RMW batches only tokened atomics the server
+// deduplicates, so both are re-issued across transport reconnects like
 // Read; MultiWrite, MultiAlloc, and MultiFree are never re-issued — a
 // broken channel cannot tell whether the server executed the lost frame.
 package client
@@ -43,18 +44,11 @@ func marshalBatch(n int, fill func(i int) rpc.Request) []byte {
 // callBatch performs one OpBatch exchange and decodes the sub-responses
 // into results via each. idempotent selects the reconnect-retry path.
 func (c *Ctx) callBatch(n int, idempotent bool, fill func(i int) rpc.Request, each func(i int, sub rpc.Response)) error {
-	return c.callBatchOp(rpc.OpBatch, n, idempotent, fill, each)
-}
-
-// callBatchOp is callBatch generalized over the frame opcode: OpMultiRMW
-// uses the identical count-plus-sub-records framing with a restricted sub-op
-// set, so the whole exchange path is shared.
-func (c *Ctx) callBatchOp(op rpc.OpCode, n int, idempotent bool, fill func(i int) rpc.Request, each func(i int, sub rpc.Response)) error {
 	if n == 0 {
 		return nil
 	}
 	body := marshalBatch(n, fill)
-	req := rpc.Request{Op: op, Payload: body}
+	req := rpc.Request{Op: rpc.OpBatch, Payload: body}
 	// The packed sub-responses are decoded directly out of the receive
 	// lease — the only copies left in a batched read are the per-sub
 	// copies into the caller's buffers.

@@ -294,14 +294,14 @@ type countingBackend struct {
 	subs    atomic.Int64
 }
 
-func (cb *countingBackend) Call(req rpc.Request) (rpc.Response, error) {
+func (cb *countingBackend) CallLease(req rpc.Request) (rpc.Response, *transport.Lease, error) {
 	if req.Op == rpc.OpBatch {
 		cb.batches.Add(1)
 		if subs, err := rpc.DecodeBatchRequests(req.Payload, nil); err == nil {
 			cb.subs.Add(int64(len(subs)))
 		}
 	}
-	return cb.Backend.Call(req)
+	return cb.Backend.CallLease(req)
 }
 
 // TestReadAsyncCoalesces: futures issued back-to-back resolve correctly

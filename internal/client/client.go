@@ -28,10 +28,14 @@ import (
 	"corm/internal/transport"
 )
 
-// Backend abstracts how the context reaches the store: in-process or TCP.
+// Backend abstracts how the context reaches the store: in-process or over
+// a transport. Both calls are zero-copy: a response payload or a one-sided
+// read's data aliases the returned lease, which the caller releases once
+// done with it (a nil lease is valid and releases to nothing).
+// transport.Conn implements it.
 type Backend interface {
-	Call(req rpc.Request) (rpc.Response, error)
-	DirectRead(rkey uint32, vaddr uint64, buf []byte) error
+	CallLease(req rpc.Request) (rpc.Response, *transport.Lease, error)
+	DirectReadLease(rkey uint32, vaddr uint64, n int) (*transport.Lease, []byte, error)
 	Close() error
 }
 
@@ -61,15 +65,17 @@ type Ctx struct {
 	// channel cannot tell whether the server executed the lost request.
 	ConnRetries int
 
-	// AsyncWindow and AsyncMaxBatch tune ReadAsync/WriteAsync coalescing:
-	// pending asynchronous operations flush as one OpBatch when the window
-	// elapses or the batch fills, whichever is first.
+	// AsyncWindow and AsyncMaxBatch tune ReadAsync/WriteAsync/FetchAddAsync
+	// coalescing: pending asynchronous operations flush as one OpBatch when
+	// the window elapses or the batch fills, whichever is first.
 	AsyncWindow   time.Duration
 	AsyncMaxBatch int
 
-	batch  batcher  // pending asynchronous reads
-	wbatch batcher  // pending asynchronous writes (flushed separately: not idempotent)
-	abatch abatcher // pending asynchronous pushdown atomics (OpMultiRMW frames)
+	// One queue per retry rule (async.go): reads and tokened atomics are
+	// re-issued across reconnects, writes never are.
+	reads   batcher[asyncOp]
+	writes  batcher[asyncOp]
+	atomics batcher[atomicOp]
 
 	// tokenBase/tokenSeq mint the per-operation dedup tokens of the
 	// pushdown mutations (atomic.go): a random base per context plus a
@@ -107,38 +113,36 @@ func NewLocal(srv *rpc.Server) (*Ctx, error) {
 // New builds a context over any backend, fetching the store parameters.
 // On failure the backend is closed.
 func New(b Backend) (*Ctx, error) {
-	resp, err := b.Call(rpc.Request{Op: rpc.OpInfo})
-	if err != nil {
-		b.Close()
-		return nil, err
-	}
-	if resp.Status != rpc.StatusOK {
-		b.Close()
-		return nil, fmt.Errorf("client: info failed: %v", resp.Status)
-	}
-	info, err := rpc.UnmarshalInfo(resp.Payload)
-	if err != nil {
-		b.Close()
-		return nil, err
-	}
-	return &Ctx{
+	c := &Ctx{
 		backend:       b,
-		classes:       info.Classes,
-		blockBytes:    info.BlockBytes,
-		mode:          info.Consistency,
 		RetryBackoff:  2 * time.Microsecond,
 		Retries:       64,
-		ConnRetries:   3,
 		AsyncWindow:   50 * time.Microsecond,
 		AsyncMaxBatch: 64,
 		tokenBase:     rand.Uint64(),
-	}, nil
+	}
+	// Fetched before ConnRetries is set: a backend that fails its first
+	// call fails New rather than being retried.
+	info, err := c.Info()
+	if err != nil {
+		b.Close()
+		return nil, err
+	}
+	c.classes, c.blockBytes, c.mode = info.Classes, info.BlockBytes, info.Consistency
+	c.ConnRetries = 3
+	c.reads.init(func(ops []asyncOp) { c.flushOps(ops, c.MultiRead) })
+	c.writes.init(func(ops []asyncOp) { c.flushOps(ops, c.MultiWrite) })
+	c.atomics.init(c.flushAtomics)
+	return c, nil
 }
 
-// Close releases the context. Pending asynchronous reads resolve with an
-// error instead of hanging their futures.
+// Close releases the context. Pending asynchronous operations resolve with
+// an error instead of hanging their futures.
 func (c *Ctx) Close() error {
-	c.drainAsync(errors.New("client: context closed"))
+	err := errors.New("client: context closed")
+	c.reads.drain(err)
+	c.writes.drain(err)
+	c.atomics.drain(err)
 	return c.backend.Close()
 }
 
@@ -187,53 +191,14 @@ func connRetrySleep(attempt int) {
 	time.Sleep(time.Millisecond << attempt)
 }
 
-// callIdempotent re-issues an idempotent RPC across transport reconnects,
-// up to ConnRetries extra attempts. The transport re-dials broken channels
-// itself (with backoff); this loop only re-submits the lost request.
-func (c *Ctx) callIdempotent(req rpc.Request) (rpc.Response, error) {
-	var resp rpc.Response
-	var err error
-	for attempt := 0; ; attempt++ {
-		resp, err = c.backend.Call(req)
-		if err == nil || attempt >= c.ConnRetries || !transport.IsRetryable(err) {
-			return resp, err
-		}
-		clRetries.Inc()
-		connRetrySleep(attempt)
-	}
-}
-
-// leaseCaller / leaseDirectReader are the optional zero-copy facets a
-// backend may provide (transport.Conn does): response payloads alias a
-// receive-buffer lease instead of being copied onto the heap. Backends
-// without the facets fall back to the copying paths transparently.
-type leaseCaller interface {
-	CallLease(req rpc.Request) (rpc.Response, *transport.Lease, error)
-}
-
-type leaseDirectReader interface {
-	DirectReadLease(rkey uint32, vaddr uint64, n int) (*transport.Lease, []byte, error)
-}
-
-// callLease performs one RPC (re-issued across reconnects when idempotent)
-// and returns the response plus the lease its payload aliases. The caller
-// must Release the lease once done with the payload; on the fallback
-// (non-lease backend) path the lease is nil-safe to release and the
-// payload is heap-owned.
+// callLease performs one RPC and returns the response plus the lease its
+// payload aliases; the caller must Release the lease once done with the
+// payload. An idempotent request is re-issued across transport reconnects,
+// up to ConnRetries extra attempts: the transport re-dials broken channels
+// itself (with backoff), this loop only re-submits the lost request.
 func (c *Ctx) callLease(req rpc.Request, idempotent bool) (rpc.Response, *transport.Lease, error) {
-	lc, ok := c.backend.(leaseCaller)
-	if !ok {
-		var resp rpc.Response
-		var err error
-		if idempotent {
-			resp, err = c.callIdempotent(req)
-		} else {
-			resp, err = c.backend.Call(req)
-		}
-		return resp, nil, err
-	}
 	for attempt := 0; ; attempt++ {
-		resp, lease, err := lc.CallLease(req)
+		resp, lease, err := c.backend.CallLease(req)
 		if err == nil || !idempotent || attempt >= c.ConnRetries || !transport.IsRetryable(err) {
 			return resp, lease, err
 		}
@@ -243,22 +208,10 @@ func (c *Ctx) callLease(req rpc.Request, idempotent bool) (rpc.Response, *transp
 }
 
 // leaseDirectRead issues one one-sided read returning a lease-backed view,
-// repairing broken QPs like directRead. Backends without the lease facet
-// read into a transient buffer, so callers see one code path.
+// re-issuing it across transport faults and repairing a broken QP.
 func (c *Ctx) leaseDirectRead(rkey uint32, vaddr uint64, n int) (*transport.Lease, []byte, error) {
-	ldr, hasLease := c.backend.(leaseDirectReader)
 	for attempt := 0; ; attempt++ {
-		var lease *transport.Lease
-		var view []byte
-		var err error
-		if hasLease {
-			lease, view, err = ldr.DirectReadLease(rkey, vaddr, n)
-		} else {
-			view = make([]byte, n)
-			if err = c.backend.DirectRead(rkey, vaddr, view); err == nil {
-				lease = transport.TransientLease(view)
-			}
-		}
+		lease, view, err := c.backend.DirectReadLease(rkey, vaddr, n)
 		switch {
 		case err == nil:
 			return lease, view, nil
@@ -289,10 +242,11 @@ func isQPBroken(err error) bool {
 
 // Info re-fetches the store parameters; it doubles as a health probe.
 func (c *Ctx) Info() (rpc.Info, error) {
-	resp, err := c.callIdempotent(rpc.Request{Op: rpc.OpInfo})
+	resp, lease, err := c.callLease(rpc.Request{Op: rpc.OpInfo}, true)
 	if err != nil {
 		return rpc.Info{}, err
 	}
+	defer lease.Release()
 	if resp.Status != rpc.StatusOK {
 		return rpc.Info{}, fmt.Errorf("client: info failed: %v", resp.Status)
 	}
@@ -488,12 +442,8 @@ type localBackend struct {
 	qp  *core.ClientQP
 }
 
-func (l *localBackend) Call(req rpc.Request) (rpc.Response, error) {
-	return l.srv.Submit(req), nil
-}
-
-// CallLease is the zero-copy facet (leaseCaller), for reads: the server
-// stages and unpacks the slot inside a pooled frame buffer and the response
+// CallLease serves the ops whose reply carries data (reads, batches,
+// scans) in a pooled frame buffer: the server stages the reply there and it
 // is decoded in place, so an in-process Read costs no allocation. A reply
 // that outgrows the buffer moves to a fresh array the views keep alive; the
 // lease then just recycles the unused buffer. Every other op answers with a
@@ -501,7 +451,9 @@ func (l *localBackend) Call(req rpc.Request) (rpc.Response, error) {
 // Write 0.3 µs (churn_compact write_p50_us 2.19 → 2.51 in ten of ten
 // pairs) — so those go through Submit, with no lease.
 func (l *localBackend) CallLease(req rpc.Request) (rpc.Response, *transport.Lease, error) {
-	if req.Op != rpc.OpRead {
+	switch req.Op {
+	case rpc.OpRead, rpc.OpBatch, rpc.OpScan:
+	default:
 		return l.srv.Submit(req), nil, nil
 	}
 	lease := transport.PooledLease()
@@ -513,9 +465,14 @@ func (l *localBackend) CallLease(req rpc.Request) (rpc.Response, *transport.Leas
 	return resp, lease, nil
 }
 
-func (l *localBackend) DirectRead(rkey uint32, vaddr uint64, buf []byte) error {
-	_, err := l.qp.QP().Read(rkey, vaddr, buf)
-	return err
+// DirectReadLease reads into a transient buffer: the simulated QP copies
+// out of the store, so there is no registered receive memory to lend.
+func (l *localBackend) DirectReadLease(rkey uint32, vaddr uint64, n int) (*transport.Lease, []byte, error) {
+	buf := make([]byte, n)
+	if _, err := l.qp.QP().Read(rkey, vaddr, buf); err != nil {
+		return nil, nil, err
+	}
+	return transport.TransientLease(buf), buf, nil
 }
 
 // ReconnectDMA repairs the simulated QP after an error-state transition.

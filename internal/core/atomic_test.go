@@ -240,6 +240,35 @@ func TestReadStaged(t *testing.T) {
 	}
 }
 
+// TestReadMatchesReadStaged: Read and ReadStaged share one body, so they
+// return the same payload in both consistency modes, with the buffer-size
+// rule of each (class size for Read, stride for ReadStaged).
+func TestReadMatchesReadStaged(t *testing.T) {
+	for _, mode := range []ConsistencyMode{ConsistencyVersions, ConsistencyChecksum} {
+		s := testStore(t, func(c *Config) { c.Consistency = mode })
+		a := atomicObj(t, s, 200)
+		want := fill(200, 3)
+		if err := s.Write(&a, want); err != nil {
+			t.Fatal(err)
+		}
+		size, stride := s.ClassSize(int(a.Class())), s.Stride(int(a.Class()))
+		plain := make([]byte, size)
+		if n, err := s.Read(&a, plain); err != nil || n != size {
+			t.Fatalf("mode %v: Read = %d, %v", mode, n, err)
+		}
+		staged := make([]byte, stride)
+		if n, err := s.ReadStaged(&a, staged); err != nil || n != size {
+			t.Fatalf("mode %v: ReadStaged = %d, %v", mode, n, err)
+		}
+		if !bytes.Equal(plain, staged[:size]) || !bytes.Equal(plain[:200], want) {
+			t.Fatalf("mode %v: Read and ReadStaged disagree", mode)
+		}
+		if _, err := s.Read(&a, make([]byte, size-1)); !errors.Is(err, ErrShortBuffer) {
+			t.Fatalf("mode %v: short Read: %v", mode, err)
+		}
+	}
+}
+
 // TestStoreIntrospection exercises the read-only accessors the benches and
 // the compaction policy consume.
 func TestStoreIntrospection(t *testing.T) {

@@ -542,14 +542,37 @@ func (s *Store) resolveOnce(addr *Addr) (*blockState, int, bool, error) {
 }
 
 // Read copies an object's payload into buf via the RPC path, correcting
-// the pointer if needed. It returns the payload length.
+// the pointer if needed. buf must hold the class size; the raw slot is
+// staged in a pooled buffer, so a read allocates nothing. It returns the
+// payload length.
 func (s *Store) Read(addr *Addr, buf []byte) (int, error) {
+	return s.read(addr, buf, false)
+}
+
+// ReadStaged is Read without the internal staging buffer: the caller
+// supplies buf of at least Stride(class) bytes, the raw slot is landed
+// directly in it, and the payload is unpacked in place to buf[:size] — so
+// the RPC server can serve reads straight into the outgoing wire frame
+// with zero staging copies. In-place unpacking is safe because every
+// packed payload byte sits strictly ahead of its destination (the 16-byte
+// slot header plus one version-tag byte per cacheline), and copy has
+// memmove semantics.
+func (s *Store) ReadStaged(addr *Addr, buf []byte) (int, error) {
+	return s.read(addr, buf, true)
+}
+
+// read is Read (staged=false) and ReadStaged (staged=true).
+func (s *Store) read(addr *Addr, buf []byte, staged bool) (int, error) {
 	st, slot, _, err := s.resolve(addr)
 	if err != nil {
 		return 0, err
 	}
 	size := s.ClassSize(st.Class)
-	if len(buf) < size {
+	need := size
+	if staged {
+		need = st.Stride
+	}
+	if len(buf) < need {
 		return 0, ErrShortBuffer
 	}
 	if !s.cfg.DataBacked {
@@ -558,6 +581,9 @@ func (s *Store) Read(addr *Addr, buf []byte) (int, error) {
 		}
 		s.stats.reads.Add(1)
 		cmReads.Inc()
+		// Staged callers hand in uninitialized frame-buffer tails; keep
+		// the payload deterministic either way.
+		clear(buf[:size])
 		return size, nil
 	}
 	// The liveness check lives under rw: merge flips the compacting flag
@@ -573,61 +599,16 @@ func (s *Store) Read(addr *Addr, buf []byte) (int, error) {
 	defer st.rw.RUnlock()
 	s.stats.reads.Add(1)
 	cmReads.Inc()
-	sc := readScratchPool.Get().(*readScratch)
-	defer readScratchPool.Put(sc)
-	if cap(sc.b) < st.Stride {
-		sc.b = make([]byte, st.Stride)
-	}
-	raw := sc.b[:st.Stride]
-	if err := s.space.ReadAt(st.SlotAddr(slot), raw); err != nil {
-		return 0, err
-	}
-	if !s.checkCanary(raw, size) {
-		return 0, ErrCorruption
-	}
-	if s.cfg.Consistency == ConsistencyChecksum {
-		copy(buf, raw[headerBytes:headerBytes+size])
-	} else {
-		unpackPayloadInto(buf, raw, size)
-	}
-	return size, nil
-}
-
-// ReadStaged is Read without the internal staging buffer: the caller
-// supplies buf of at least Stride(class) bytes, the raw slot is landed
-// directly in it, and the payload is unpacked in place to buf[:size] — so
-// the RPC server can serve reads straight into the outgoing wire frame
-// with zero staging copies. In-place unpacking is safe because every
-// packed payload byte sits strictly ahead of its destination (the 16-byte
-// slot header plus one version-tag byte per cacheline), and copy has
-// memmove semantics.
-func (s *Store) ReadStaged(addr *Addr, buf []byte) (int, error) {
-	st, slot, _, err := s.resolve(addr)
-	if err != nil {
-		return 0, err
-	}
-	size := s.ClassSize(st.Class)
-	if len(buf) < st.Stride {
-		return 0, ErrShortBuffer
-	}
-	if !s.cfg.DataBacked {
-		if err := st.gone(); err != nil {
-			return 0, err
+	raw := buf
+	if !staged {
+		sc := readScratchPool.Get().(*readScratch)
+		defer readScratchPool.Put(sc)
+		if cap(sc.b) < st.Stride {
+			sc.b = make([]byte, st.Stride)
 		}
-		s.stats.reads.Add(1)
-		cmReads.Inc()
-		// Callers hand in uninitialized frame-buffer tails; keep the
-		// payload deterministic like the staged path's zeroed scratch.
-		clear(buf[:size])
-		return size, nil
+		raw = sc.b
 	}
-	if err := s.rlockResident(st); err != nil {
-		return 0, err
-	}
-	defer st.rw.RUnlock()
-	s.stats.reads.Add(1)
-	cmReads.Inc()
-	raw := buf[:st.Stride]
+	raw = raw[:st.Stride]
 	if err := s.space.ReadAt(st.SlotAddr(slot), raw); err != nil {
 		return 0, err
 	}

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"corm/internal/core"
@@ -58,6 +59,73 @@ func TestSubmitAppendMatchesSubmit(t *testing.T) {
 	}
 	if free := submitAppend(t, s, Request{Op: OpFree, Addr: addr}); free.Status != StatusOK {
 		t.Fatalf("free via append path: %v", free.Status)
+	}
+}
+
+// sameResponse fails the test unless a and b carry the same status,
+// pointer and payload bytes.
+func sameResponse(t *testing.T, what string, a, b Response) {
+	t.Helper()
+	if a.Status != b.Status || a.Addr != b.Addr || !bytes.Equal(a.Payload, b.Payload) {
+		t.Fatalf("%s: Submit %+v, SubmitAppend %+v", what, a, b)
+	}
+}
+
+// TestSubmitDecodesSubmitAppend: the ops whose reply carries data have one
+// implementation, the append path. Submit's reply for a read, a scan and
+// a batch mixing a read, a write, a tokened FetchAdd and a CondWrite equals
+// SubmitAppend's decoded reply. The batch runs twice; the second run
+// replays the tokened sub-ops from the dedup cache, so the counter moves
+// once and the if-absent CondWrite answers OK again instead of conflicting.
+func TestSubmitDecodesSubmitAppend(t *testing.T) {
+	s := testServer(t)
+	data := bytes.Repeat([]byte{0x3C}, 64)
+	src := pushdownObject(t, s, 64, data)
+	dst := pushdownObject(t, s, 64, make([]byte, 64))
+	ctr := pushdownObject(t, s, 16, make([]byte, 16))
+	fresh := s.Submit(Request{Op: OpAlloc, Size: 16})
+	if fresh.Status != StatusOK {
+		t.Fatalf("alloc: %v", fresh.Status)
+	}
+
+	read := Request{Op: OpRead, Addr: src, Size: 64}
+	sameResponse(t, "read", s.Submit(read), submitAppend(t, s, read))
+	if got := s.Submit(read); !bytes.Equal(got.Payload, data) {
+		t.Fatalf("read %x, wrote %x", got.Payload, data)
+	}
+
+	scan := ScanReq{Class: src.Class(), Pred: PredEq, Arg: data[:8]}
+	scanReq := Request{Op: OpScan, Payload: scan.Marshal()}
+	sameResponse(t, "scan", s.Submit(scanReq), submitAppend(t, s, scanReq))
+
+	fa := FAddReq{Token: 0x51, Offset: 0, Delta: 5}
+	cw := CondWriteReq{Token: 0x52, Mode: CondIfAbsent, Value: u64le(9)}
+	body := MarshalBatchRequests(nil, []Request{
+		{Op: OpRead, Addr: src, Size: 64},
+		{Op: OpWrite, Addr: dst, Payload: data},
+		{Op: OpFetchAdd, Addr: ctr, Payload: fa.Marshal()},
+		{Op: OpCondWrite, Addr: fresh.Addr, Payload: cw.Marshal()},
+	})
+	batch := Request{Op: OpBatch, Payload: body}
+	first := s.Submit(batch)
+	sameResponse(t, "batch", first, submitAppend(t, s, batch))
+	subs, err := DecodeBatchResponses(first.Payload, nil)
+	if err != nil || len(subs) != 4 {
+		t.Fatalf("batch decode: %d subs, %v", len(subs), err)
+	}
+	for i, sub := range subs {
+		if sub.Status != StatusOK {
+			t.Fatalf("sub %d: %v", i, sub.Status)
+		}
+	}
+	if !bytes.Equal(subs[0].Payload, data) {
+		t.Fatalf("batched read %x", subs[0].Payload)
+	}
+
+	probe := FAddReq{Token: 0x53, Offset: 0, Delta: 0}
+	resp := s.Submit(Request{Op: OpFetchAdd, Addr: ctr, Payload: probe.Marshal()})
+	if resp.Status != StatusOK || binary.LittleEndian.Uint64(resp.Payload) != 5 {
+		t.Fatalf("counter after the batch ran twice: %v %x, want 5", resp.Status, resp.Payload)
 	}
 }
 

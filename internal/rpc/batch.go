@@ -4,7 +4,9 @@
 // every operation still paid one frame header, one pending-map entry, and
 // one scheduler handoff per call. OpBatch amortizes the *operation*: the
 // payload of a single request packs N sub-requests (read/write/alloc/free/
-// release), the server fans the sub-ops across its worker-token pool, and
+// release and the pushdown atomics CAS/FetchAdd/CondWrite — any single-op
+// record; only a nested batch or scan is refused per sub-op), the server
+// fans the sub-ops across its worker-token pool, and
 // the response packs N sub-responses — each with its own Status and its own
 // corrected Addr, so per-sub-op pointer correction survives batching. This
 // is the Active-Access/doorbell-batching lever: one round trip, one

@@ -205,13 +205,3 @@ func (s *Server) scanAppend(req Request, dst []byte) []byte {
 	}
 	return dst
 }
-
-// execScan is scanAppend for the copying Submit path.
-func (s *Server) execScan(req Request) Response {
-	out := s.scanAppend(req, nil)
-	resp, err := UnmarshalResponse(out)
-	if err != nil {
-		return Response{Status: StatusError}
-	}
-	return resp
-}

@@ -22,7 +22,6 @@ var (
 		OpFetchAdd:  metrics.Default().Histogram(`corm_rpc_latency_ns{op="fetchadd"}`, "RPC service time by opcode"),
 		OpCondWrite: metrics.Default().Histogram(`corm_rpc_latency_ns{op="condwrite"}`, "RPC service time by opcode"),
 		OpScan:      metrics.Default().Histogram(`corm_rpc_latency_ns{op="scan"}`, "RPC service time by opcode"),
-		OpMultiRMW:  metrics.Default().Histogram(`corm_rpc_latency_ns{op="multirmw"}`, "RPC service time by opcode"),
 	}
 	mRequests = metrics.Default().Counter("corm_rpc_requests_total",
 		"requests submitted to the worker pool")

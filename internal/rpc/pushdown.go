@@ -9,8 +9,10 @@
 //	OpFetchAdd:  token(8) off(4) delta(8, two's complement)
 //	OpCondWrite: token(8) mode(1) version(4) valueLen(4) value
 //	OpScan:      class(1) pred(1) off(4) limit(4) argLen(4) arg
-//	OpMultiRMW:  batch framing (count(4) + sub-requests), CAS/FetchAdd/
-//	             CondWrite sub-ops only
+//
+// CAS, FetchAdd and CondWrite are ordinary single-op records, so a
+// multi-key read-modify-write is an OpBatch whose sub-ops are these
+// records, mixed freely with reads and writes.
 //
 // Responses: FetchAdd returns the pre-add value (8 bytes). CondWrite
 // returns the object version (4 bytes) — the new version on success, the

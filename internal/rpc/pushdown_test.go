@@ -199,27 +199,27 @@ func TestSubmitPushdownOps(t *testing.T) {
 		t.Fatalf("scan returned pointer %v, want %v", subs[0].Addr, addr)
 	}
 
-	// MultiRMW: a fetch-add and a CAS in one frame; a nested read is
-	// rejected per sub-op.
+	// A multi-key RMW is an OpBatch of pushdown records: a fetch-add and a
+	// read in one frame, executed in order.
 	body := AppendBatchHeader(nil, 2)
 	faSub := FAddReq{Token: 9, Offset: 8, Delta: 1}
 	sub := Request{Op: OpFetchAdd, Addr: addr, Payload: faSub.Marshal()}
 	body = AppendSubRequest(body, &sub)
 	sub = Request{Op: OpRead, Addr: addr, Size: 16}
 	body = AppendSubRequest(body, &sub)
-	resp = s.Submit(Request{Op: OpMultiRMW, Payload: body})
+	resp = s.Submit(Request{Op: OpBatch, Payload: body})
 	if resp.Status != StatusOK {
-		t.Fatalf("multirmw: %v", resp.Status)
+		t.Fatalf("rmw batch: %v", resp.Status)
 	}
 	subs, err = DecodeBatchResponses(resp.Payload, nil)
 	if err != nil || len(subs) != 2 {
-		t.Fatalf("multirmw decode: %v %d", err, len(subs))
+		t.Fatalf("rmw batch decode: %v %d", err, len(subs))
 	}
 	if subs[0].Status != StatusOK {
 		t.Fatalf("rmw fetchadd: %v", subs[0].Status)
 	}
-	if subs[1].Status != StatusInvalid {
-		t.Fatalf("nested read in MultiRMW must be rejected, got %v", subs[1].Status)
+	if subs[1].Status != StatusOK || len(subs[1].Payload) != 16 {
+		t.Fatalf("read after fetchadd in one batch: %v, %d bytes", subs[1].Status, len(subs[1].Payload))
 	}
 }
 
@@ -325,8 +325,8 @@ func TestScanLimitTruncation(t *testing.T) {
 	}
 }
 
-// TestMultiRMWSharded drives a MultiRMW frame large enough that the server
-// fans it out across idle worker tokens. The chunk split must preserve
+// TestMultiRMWSharded drives a multi-key RMW batch large enough that the
+// server fans it out across idle worker tokens. The chunk split must preserve
 // sub-response order and per-op atomicity; GOMAXPROCS is raised because
 // the server refuses to shard when the scheduler has no spare parallelism.
 func TestMultiRMWSharded(t *testing.T) {
@@ -346,7 +346,7 @@ func TestMultiRMWSharded(t *testing.T) {
 		sub := Request{Op: OpFetchAdd, Addr: addrs[i], Payload: fa.Marshal()}
 		body = AppendSubRequest(body, &sub)
 	}
-	resp := s.Submit(Request{Op: OpMultiRMW, Payload: body})
+	resp := s.Submit(Request{Op: OpBatch, Payload: body})
 	if resp.Status != StatusOK {
 		t.Fatalf("multi-rmw: %v", resp.Status)
 	}

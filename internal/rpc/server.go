@@ -79,7 +79,21 @@ func (s *Server) Close() {
 // beyond that they wait their turn, like requests queued in §2.2.2's
 // shared RPC queue. An OpBatch request may additionally borrow idle worker
 // tokens and shard its sub-operations across them.
+//
+// The ops whose reply carries data (OpBatch, OpRead, OpScan) are built in
+// frame form by SubmitAppend and decoded in place, so there is one
+// implementation of each; the reply payload aliases a fresh buffer the
+// caller owns. The other ops answer with a struct: framing and re-parsing
+// it would only add cost.
 func (s *Server) Submit(req Request) Response {
+	switch req.Op {
+	case OpBatch, OpRead, OpScan:
+		resp, err := UnmarshalResponseView(s.SubmitAppend(req, nil))
+		if err != nil {
+			return Response{Status: StatusError}
+		}
+		return resp
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -91,15 +105,7 @@ func (s *Server) Submit(req Request) Response {
 		return Response{Status: StatusThrottled}
 	}
 	start := time.Now()
-	var resp Response
-	switch req.Op {
-	case OpBatch:
-		resp = s.executeBatch(thread, req, false)
-	case OpMultiRMW:
-		resp = s.executeBatch(thread, req, true)
-	default:
-		resp = s.execute(thread, req)
-	}
+	resp := s.execute(thread, req)
 	observeOp(req.Op, start)
 	s.tokens <- thread
 	return resp
@@ -172,9 +178,7 @@ func (s *Server) SubmitAppend(req Request, dst []byte) []byte {
 	start := time.Now()
 	switch req.Op {
 	case OpBatch:
-		dst = s.executeBatchAppend(thread, req, dst, false)
-	case OpMultiRMW:
-		dst = s.executeBatchAppend(thread, req, dst, true)
+		dst = s.executeBatchAppend(thread, req, dst)
 	case OpRead:
 		dst = s.readAppend(req, dst)
 	case OpScan:
@@ -253,54 +257,14 @@ func putChunkOuts(s [][]byte) {
 	chunkOutsPool.put(s)
 }
 
-// executeBatch unpacks an OpBatch request and dispatches its sub-operations
-// across the worker-token pool: the borrowed thread always executes, and if
-// the batch is large enough, idle worker tokens are grabbed (non-blocking,
-// so a batch never stalls behind the queue it is part of) and the sub-op
-// range is sharded across them. Each chunk packs its sub-responses — every
-// one with its own Status and corrected Addr — into its own buffer as it
-// executes, so the input order is preserved by concatenation and no
-// per-sub-op response structs are allocated. With rmwOnly set (OpMultiRMW)
-// only the pushdown mutation opcodes are admitted as sub-ops.
-func (s *Server) executeBatch(thread int, req Request, rmwOnly bool) Response {
-	subs, err := DecodeBatchRequests(req.Payload, GetSubRequests())
-	if err != nil {
-		PutSubRequests(subs)
-		return Response{Status: StatusInvalid}
-	}
-	n := len(subs)
-	if n == 0 {
-		PutSubRequests(subs)
-		return Response{Status: StatusOK, Payload: AppendBatchHeader(nil, 0)}
-	}
-	outs := s.runBatchChunks(thread, subs, rmwOnly)
-	PutSubRequests(subs)
-
-	total := batchCountBytes
-	for _, o := range outs {
-		total += len(o)
-	}
-	if total > maxBatchResp {
-		for _, o := range outs {
-			putPackBuf(o)
-		}
-		putChunkOuts(outs)
-		return Response{Status: StatusTooLarge}
-	}
-	payload := AppendBatchHeader(make([]byte, 0, total), n)
-	for _, o := range outs {
-		payload = append(payload, o...)
-		putPackBuf(o)
-	}
-	putChunkOuts(outs)
-	return Response{Status: StatusOK, Payload: payload}
-}
-
-// executeBatchAppend is executeBatch marshalled straight into the outgoing
-// frame: the response header and batch count are written in place and the
-// packed chunk outputs are concatenated after them, skipping the
-// intermediate payload buffer and the Response-payload copy entirely.
-func (s *Server) executeBatchAppend(thread int, req Request, dst []byte, rmwOnly bool) []byte {
+// executeBatchAppend unpacks an OpBatch request, dispatches its
+// sub-operations across the worker-token pool (runBatchChunks) and
+// marshals the reply straight into the outgoing frame: the response header
+// and batch count are written in place and the packed chunk outputs — each
+// sub-response with its own Status and corrected Addr — are concatenated
+// after them in input order. No intermediate payload buffer and no
+// per-sub-op response structs exist.
+func (s *Server) executeBatchAppend(thread int, req Request, dst []byte) []byte {
 	subs, err := DecodeBatchRequests(req.Payload, GetSubRequests())
 	if err != nil {
 		PutSubRequests(subs)
@@ -315,7 +279,7 @@ func (s *Server) executeBatchAppend(thread int, req Request, dst []byte, rmwOnly
 		putRespHeader(dst[off:], StatusOK, core.Addr{}, batchCountBytes)
 		return AppendBatchHeader(dst, 0)
 	}
-	outs := s.runBatchChunks(thread, subs, rmwOnly)
+	outs := s.runBatchChunks(thread, subs)
 	PutSubRequests(subs)
 
 	total := batchCountBytes
@@ -330,8 +294,10 @@ func (s *Server) executeBatchAppend(thread int, req Request, dst []byte, rmwOnly
 		r := Response{Status: StatusTooLarge}
 		return r.MarshalAppend(dst)
 	}
+	// One grow for the whole reply: appending the chunks below then never
+	// reallocates, so a fresh dst costs a single exact-size allocation.
 	off := len(dst)
-	dst = growBytes(dst, respHeader)
+	dst = growBytes(dst, respHeader+total)[:off+respHeader]
 	putRespHeader(dst[off:], StatusOK, core.Addr{}, total)
 	dst = AppendBatchHeader(dst, n)
 	for _, o := range outs {
@@ -347,7 +313,7 @@ func (s *Server) executeBatchAppend(thread int, req Request, dst []byte, rmwOnly
 // queue it is part of), one extra worker per additional minBatchChunk of
 // subs. Returns the packed per-chunk outputs in input order (pack-pool
 // buffers; caller recycles).
-func (s *Server) runBatchChunks(thread int, subs []Request, rmwOnly bool) [][]byte {
+func (s *Server) runBatchChunks(thread int, subs []Request) [][]byte {
 	n := len(subs)
 	// Sharding only pays when the scheduler has spare parallelism: with a
 	// single P the extra goroutines cannot overlap, so every fan-out is
@@ -375,16 +341,16 @@ sized:
 	mBatchWorkers.Observe(int64(chunks))
 	outs := getChunkOuts(chunks)
 	if chunks == 1 {
-		outs[0] = s.executeChunk(thread, subs, rmwOnly)
+		outs[0] = s.executeChunk(thread, subs)
 		return outs
 	}
-	s.runShardedChunks(thread, subs, extra, outs, rmwOnly)
+	s.runShardedChunks(thread, subs, extra, outs)
 	return outs
 }
 
 // runShardedChunks is the fan-out half of runBatchChunks, split out so the
 // WaitGroup capture only heap-allocates on calls that actually shard.
-func (s *Server) runShardedChunks(thread int, subs []Request, extra []int, outs [][]byte, rmwOnly bool) {
+func (s *Server) runShardedChunks(thread int, subs []Request, extra []int, outs [][]byte) {
 	n, chunks := len(subs), len(outs)
 	var wg sync.WaitGroup
 	for c := 1; c < chunks; c++ {
@@ -392,10 +358,10 @@ func (s *Server) runShardedChunks(thread int, subs []Request, extra []int, outs 
 		wg.Add(1)
 		go func(c, tok, lo, hi int) {
 			defer wg.Done()
-			outs[c] = s.executeChunk(tok, subs[lo:hi], rmwOnly)
+			outs[c] = s.executeChunk(tok, subs[lo:hi])
 		}(c, extra[c-1], lo, hi)
 	}
-	outs[0] = s.executeChunk(thread, subs[:n/chunks], rmwOnly)
+	outs[0] = s.executeChunk(thread, subs[:n/chunks])
 	wg.Wait()
 	for _, t := range extra {
 		s.tokens <- t
@@ -406,37 +372,24 @@ func (s *Server) runShardedChunks(thread int, subs []Request, extra []int, outs 
 // returning the packed sub-response records (from the pack pool). Read
 // payloads are staged and unpacked in place inside the packed output, so a
 // chunk costs O(1) buffers and zero payload copies regardless of length.
-func (s *Server) executeChunk(thread int, subs []Request, rmwOnly bool) []byte {
+func (s *Server) executeChunk(thread int, subs []Request) []byte {
 	out := getPackBuf()
 	for i := range subs {
-		out = s.executeSub(thread, &subs[i], out, rmwOnly)
+		out = s.executeSub(thread, &subs[i], out)
 	}
 	return out
 }
 
 // executeSub runs one batched sub-operation and appends its packed
-// sub-response record onto out. Reads reserve their record in out and land
-// the slot there directly (see readAppend). Nested batches and scans are
-// rejected per sub-op; an OpMultiRMW frame (rmwOnly) additionally rejects
-// everything but the pushdown mutations.
-func (s *Server) executeSub(thread int, sub *Request, out []byte, rmwOnly bool) []byte {
-	if rmwOnly {
-		switch sub.Op {
-		case OpCAS, OpFetchAdd, OpCondWrite:
-		default:
-			resp := Response{Status: StatusInvalid}
-			return AppendSubResponse(out, &resp)
-		}
-	}
-	var resp Response
-	switch sub.Op {
-	case OpRead:
+// sub-response record onto out. Any single-op record is a valid sub-op,
+// the pushdown atomics included; reads reserve their record in out and
+// land the slot there directly (see readAppend). A nested batch or scan,
+// whose reply is itself a list of records, is rejected by execute.
+func (s *Server) executeSub(thread int, sub *Request, out []byte) []byte {
+	if sub.Op == OpRead {
 		return s.readAppend(*sub, out)
-	case OpBatch, OpScan, OpMultiRMW:
-		resp = Response{Status: StatusInvalid}
-	default:
-		resp = s.execute(thread, *sub)
 	}
+	resp := s.execute(thread, *sub)
 	return AppendSubResponse(out, &resp)
 }
 
@@ -451,9 +404,10 @@ func (s *Server) classDims(addr core.Addr) (size, stride int, ok bool) {
 	return s.store.ClassSize(cls), s.store.Stride(cls), true
 }
 
-// execute dispatches one request against the store on behalf of a worker
-// thread. The (possibly corrected) pointer travels back in the response so
-// clients can fix their copies (§3.2).
+// execute dispatches one single-record request against the store on behalf
+// of a worker thread. The (possibly corrected) pointer travels back in the
+// response so clients can fix their copies (§3.2). OpRead, OpScan and
+// OpBatch are served in frame form by SubmitAppend, never here.
 func (s *Server) execute(thread int, req Request) Response {
 	switch req.Op {
 	case OpInfo:
@@ -472,21 +426,6 @@ func (s *Server) execute(thread int, req Request) Response {
 		addr := req.Addr
 		err := s.store.Free(&addr)
 		return Response{Status: StatusOf(err), Addr: addr}
-
-	case OpRead:
-		addr := req.Addr
-		size, _, ok := s.classDims(addr)
-		if !ok {
-			return Response{Status: StatusInvalid, Addr: addr}
-		}
-		if int(req.Size) > 0 && int(req.Size) < size {
-			size = int(req.Size)
-		}
-		buf := make([]byte, s.store.ClassSize(int(addr.Class())))
-		if _, err := s.store.Read(&addr, buf); err != nil {
-			return Response{Status: StatusOf(err), Addr: addr}
-		}
-		return Response{Status: StatusOK, Addr: addr, Payload: buf[:size]}
 
 	case OpWrite:
 		addr := req.Addr
@@ -509,9 +448,6 @@ func (s *Server) execute(thread int, req Request) Response {
 
 	case OpCondWrite:
 		return s.execCondWrite(&req)
-
-	case OpScan:
-		return s.execScan(req)
 	}
 	return Response{Status: StatusInvalid}
 }

@@ -32,7 +32,6 @@ const (
 	OpFetchAdd  // fetch-and-add a little-endian u64 inside the object
 	OpCondWrite // conditional full-object write (if-version / if-absent)
 	OpScan      // predicate-filtered scan over one size class
-	OpMultiRMW  // batch restricted to CAS/FetchAdd/CondWrite sub-ops
 )
 
 func (o OpCode) String() string {
@@ -59,8 +58,6 @@ func (o OpCode) String() string {
 		return "condwrite"
 	case OpScan:
 		return "scan"
-	case OpMultiRMW:
-		return "multirmw"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }

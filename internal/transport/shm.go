@@ -24,6 +24,8 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+
+	"corm/internal/rnic"
 )
 
 // shmRegistry maps listen addresses to live in-process servers. Listen
@@ -217,6 +219,12 @@ func (s *Server) dialSHM(kind byte) *shmEndpoint {
 	s.wg.Add(1)
 	s.mu.Unlock()
 	mSHMConns.Inc()
+	// The DMA channel's QP is connected before the dial returns, so it
+	// exists as soon as the client holds the channel.
+	var qp *rnic.QP
+	if kind == chanDMA {
+		qp = s.rpc.Store().NIC().Connect()
+	}
 	go func() {
 		defer s.wg.Done()
 		defer func() {
@@ -231,7 +239,7 @@ func (s *Server) dialSHM(kind byte) *shmEndpoint {
 		case chanRPC:
 			s.serveRPCLoop(src, sink)
 		case chanDMA:
-			s.serveDMALoop(src, sink)
+			s.serveDMALoop(src, sink, qp)
 		}
 	}()
 	return ep

@@ -577,7 +577,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	case chanRPC:
 		s.serveRPCLoop(src, w)
 	case chanDMA:
-		s.serveDMALoop(src, w)
+		s.serveDMALoop(src, w, s.rpc.Store().NIC().Connect())
 	}
 }
 
@@ -671,8 +671,9 @@ const (
 // reconnects the channel. The QP slot is released when the channel closes
 // (ibv_destroy_qp). Read data lands directly in the response frame buffer:
 // the emulated DMA engine writes into wire memory, never a staging copy.
-func (s *Server) serveDMALoop(src frameSource, w frameSink) {
-	qp := s.rpc.Store().NIC().Connect()
+// The caller connects qp before the client can issue a read; the loop owns
+// it from then on.
+func (s *Server) serveDMALoop(src frameSource, w frameSink, qp *rnic.QP) {
 	defer qp.Close()
 	type dmaJob struct {
 		seq    uint64

@@ -54,7 +54,7 @@ func BenchmarkPushdownFetchAdd(b *testing.B) {
 }
 
 // BenchmarkPushdownFetchAddAsync keeps a window of futures in flight; the
-// client coalesces them into OpMultiRMW frames.
+// client coalesces them into OpBatch frames of tokened FetchAdds.
 func BenchmarkPushdownFetchAddAsync(b *testing.B) {
 	const window = 64
 	for _, v := range wireVariants {
