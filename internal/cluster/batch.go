@@ -9,6 +9,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,19 +39,18 @@ func groupByNode(n int, nodeOf func(i int) int) map[int][]int {
 	return groups
 }
 
-// fanOut runs one function per node group, in parallel when more than one
-// node is involved (the single-node case stays on the caller's goroutine —
-// no handoff for the common locality-friendly batch).
+// fanOut runs one function per node group, in parallel: every group but
+// one on its own goroutine, the last on the caller's, so a single-node
+// batch involves no handoff at all.
 func fanOut(groups map[int][]int, run func(node int, idxs []int)) {
 	cuFanOutWidth.Observe(int64(len(groups)))
-	if len(groups) == 1 {
-		for node, idxs := range groups {
-			run(node, idxs)
-		}
-		return
-	}
 	var wg sync.WaitGroup
+	left := len(groups)
 	for node, idxs := range groups {
+		if left--; left == 0 {
+			run(node, idxs)
+			break
+		}
 		wg.Add(1)
 		go func(node int, idxs []int) {
 			defer wg.Done()
@@ -202,7 +202,7 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 		e         *kvEntry
 		version   uint64
 		size      int
-		repIdx    int // which replica the batched read targets
+		repIdx    int // which replica the batched read targets; -1: none
 		g         GlobalAddr
 		classSize int
 	}
@@ -226,7 +226,7 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 		if rep == -1 {
 			// No live replica on record; Get will retry/repair.
 			fallback = append(fallback, i)
-			refs[i].e = e
+			refs[i] = ref{e: e, repIdx: -1}
 			continue
 		}
 		refs[i] = ref{
@@ -242,7 +242,7 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 		bufs := make([][]byte, 0, live)
 		idx := make([]int, 0, live)
 		for i := range refs {
-			if refs[i].e == nil || refs[i].repIdx < 0 || contains(fallback, i) {
+			if refs[i].e == nil || refs[i].repIdx < 0 {
 				continue
 			}
 			if refs[i].classSize == 0 {
@@ -313,15 +313,6 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 	return vals, found, err
 }
 
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // isMissing classifies per-key failures that mean "no such object".
 func isMissing(err error) bool {
 	return errors.Is(err, core.ErrNotFound) || errors.Is(err, core.ErrInvalidAddr)
@@ -339,166 +330,139 @@ func isDivergent(err error) bool {
 		errors.Is(err, transport.ErrDMABounds)
 }
 
-// MultiPut stores len(keys) values. Unreplicated, operations are grouped
-// by rendezvous node: per node, one batched alloc round trip and one
-// batched write round trip, with existing entries freed first (batched as
-// well). Replicated, each key runs the full fan-out Put (its writes
-// already coalesce per node through the async write batcher), bounded to
-// a few keys in flight. Results are per key, in input order; err reports
-// malformed input only. When a key appears more than once, the last
-// occurrence wins and earlier ones share its outcome.
+// MultiPut stores len(keys) values with at most two frames per node touched
+// (writeReplicas), not one alloc round trip per replica, and commits each
+// key through Put's install step. Unlike Put, it returns only after every
+// replica has resolved: stronger than W, and it leaves no stragglers, but
+// a node that hangs holds the call up to the transport's CallTimeout.
+// Results are per key, in input order; err reports malformed input only.
+// When a key appears more than once, the last occurrence wins and earlier
+// ones share its outcome.
 func (kv *KV) MultiPut(keys []string, values [][]byte) (errs []error, err error) {
 	if len(keys) != len(values) {
 		return nil, fmt.Errorf("cluster: MultiPut: %d keys, %d values", len(keys), len(values))
 	}
-	n := len(keys)
-	errs = make([]error, n)
-	if n == 0 {
-		return errs, nil
-	}
+	errs = make([]error, len(keys))
 	// Last occurrence of each key wins; earlier duplicates alias its slot.
-	last := make(map[string]int, n)
+	last := make(map[string]int, len(keys))
 	for i, k := range keys {
 		last[k] = i
 	}
-	if kv.k > 1 {
-		kv.multiPutReplicated(keys, values, last, errs)
-	} else {
-		if ferr := kv.multiPutSingle(keys, values, last, errs); ferr != nil {
-			return nil, ferr
+	puts := make([][]replicaWrite, len(keys))
+	versions := make([]uint64, len(keys))
+	var writes []*replicaWrite
+	for i, key := range keys {
+		if last[key] != i {
+			continue
+		}
+		nodes := kv.ReplicasFor(key)
+		version, class := kv.nextVersion(key, len(values[i]))
+		rec := kv.encodeRecord(kv.recordTag(key, version), values[i])
+		if kv.k > 1 {
+			cuReplicatedWrites.Inc()
+		}
+		versions[i] = version
+		puts[i] = make([]replicaWrite, len(nodes))
+		for r, node := range nodes {
+			puts[i][r] = replicaWrite{node: node, class: class, rec: rec}
+			writes = append(writes, &puts[i][r])
+		}
+	}
+	groups := groupByNode(len(writes), func(j int) int { return writes[j].node })
+	fanOut(groups, func(node int, idxs []int) {
+		ws := make([]*replicaWrite, len(idxs))
+		for k, j := range idxs {
+			ws[k] = writes[j]
+		}
+		kv.writeReplicas(node, ws)
+	})
+	for i, ws := range puts {
+		if ws == nil {
+			continue
+		}
+		e := &kvEntry{size: len(values[i]), version: versions[i], reps: make([]kvReplica, len(ws))}
+		succ := 0
+		var firstErr error
+		for r, w := range ws {
+			e.reps[r], firstErr = w.rep, cmp.Or(firstErr, w.err)
+			if w.err == nil {
+				succ++
+			}
+		}
+		if ok, ierr := kv.install(keys[i], e, succ, firstErr); !ok {
+			kv.rc.retire(liveRecords(e)...)
+			errs[i] = ierr
 		}
 	}
 	// Earlier duplicates share the winning occurrence's outcome.
 	for i, k := range keys {
-		if last[k] != i {
-			errs[i] = errs[last[k]]
-		}
+		errs[i] = errs[last[k]]
 	}
 	return errs, nil
 }
 
-// multiPutReplicated runs the replica fan-out Put per winning key with
-// bounded concurrency. Cross-key batching still happens underneath: all
-// concurrent replica writes to one node coalesce in its async write
-// batcher into shared OpBatch frames.
-func (kv *KV) multiPutReplicated(keys []string, values [][]byte, last map[string]int, errs []error) {
-	const inflight = 8
-	sem := make(chan struct{}, inflight)
-	var wg sync.WaitGroup
-	for i := range keys {
-		if last[keys[i]] != i {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer func() { <-sem; wg.Done() }()
-			errs[i] = kv.Put(keys[i], values[i])
-		}(i)
-	}
-	wg.Wait()
+// replicaWrite is one replica of one key in a MultiPut: the record bound
+// for node, and the slot it landed in or the error that stopped it.
+type replicaWrite struct {
+	node, class int
+	rec         []byte
+	rep         kvReplica
+	placed      bool // rep holds a slot this write owns
+	written     bool
+	err         error
 }
 
-// multiPutSingle is the unreplicated batched path.
-func (kv *KV) multiPutSingle(keys []string, values [][]byte, last map[string]int, errs []error) error {
-	// Free the entries being replaced, batched by owning node. A key whose
-	// old object cannot be freed fails (Put parity: never leak the old
-	// object silently) and drops out of the alloc/write phases.
-	var oldGs []*GlobalAddr
-	var oldIdx []int
-	kv.mu.Lock()
-	for k, i := range last {
-		if e := kv.entries[k]; e != nil {
-			g := e.reps[0].addr
-			oldGs = append(oldGs, &g)
-			oldIdx = append(oldIdx, i)
+// writeReplicas writes each record in ws into its own slot on node, in two
+// frames: one MultiAllocOn for the records no spare fits, then one
+// MultiWrite for all of them. Whatever the batch did not write — the
+// node's breaker is open, a frame was lost, a slot met a merge — retries
+// alone through writeReplica, its slot retired first.
+func (kv *KV) writeReplicas(node int, ws []*replicaWrite) {
+	var fresh []*replicaWrite
+	var sizes []int
+	for _, w := range ws {
+		if w.rep, w.placed = kv.rc.take(node, w.class, len(w.rec)); !w.placed {
+			fresh, sizes = append(fresh, w), append(sizes, len(w.rec))
 		}
 	}
-	kv.mu.Unlock()
-	failed := make(map[int]bool)
-	if len(oldGs) > 0 {
-		rs, ferr := kv.pool.MultiFree(oldGs)
-		if ferr != nil {
-			return ferr
-		}
-		for k, i := range oldIdx {
-			if rs[k].Err != nil && !isMissing(rs[k].Err) {
-				errs[i] = rs[k].Err
-				failed[i] = true
-			}
-		}
-	}
-	// Alloc + write per rendezvous node.
-	groups := groupByNode(len(keys), func(i int) int { return kv.NodeFor(keys[i]) })
-	fanOut(groups, func(node int, idxs []int) {
-		// Only the surviving last occurrences execute.
-		act := idxs[:0:0]
-		for _, i := range idxs {
-			if last[keys[i]] == i && !failed[i] {
-				act = append(act, i)
-			}
-		}
-		if len(act) == 0 {
-			return
-		}
-		sizes := make([]int, len(act))
-		for k, i := range act {
-			sizes[k] = len(values[i])
-		}
+	if len(fresh) > 0 {
 		inc := kv.pool.incarnation(node)
-		allocs, aerr := kv.pool.MultiAllocOn(node, sizes)
-		if aerr != nil {
-			for _, i := range act {
-				errs[i] = aerr
+		if rs, err := kv.pool.MultiAllocOn(node, sizes); err == nil {
+			for k, w := range fresh {
+				if rs[k].Err == nil {
+					g := GlobalAddr{Node: node, Addr: rs[k].Addr}
+					classSize, _ := kv.pool.ClassSize(g)
+					w.rep, w.placed = kvReplica{addr: g, classSize: classSize, inc: inc}, true
+				}
 			}
-			return
 		}
-		addrs := make([]*core.Addr, 0, len(act))
-		payloads := make([][]byte, 0, len(act))
-		wIdx := make([]int, 0, len(act))
-		for k, i := range act {
-			if allocs[k].Err != nil {
-				errs[i] = allocs[k].Err
-				continue
-			}
-			addrs = append(addrs, &allocs[k].Addr)
-			payloads = append(payloads, values[i])
-			wIdx = append(wIdx, k)
+	}
+	var sent []*replicaWrite
+	var addrs []*core.Addr
+	var payloads [][]byte
+	for _, w := range ws {
+		if w.placed && (kv.rc.merging == nil || !kv.rc.merging(w.rep.addr)) {
+			sent = append(sent, w)
+			addrs = append(addrs, &w.rep.addr.Addr)
+			payloads = append(payloads, w.rec)
 		}
-		if len(addrs) == 0 {
-			return
+	}
+	if len(sent) > 0 && kv.pool.gate(node) == nil {
+		rs, err := kv.pool.nodes[node].MultiWrite(addrs, payloads)
+		kv.pool.observe(node, err)
+		for k, w := range sent {
+			w.written = err == nil && rs[k].Err == nil
 		}
-		ws, werr := kv.pool.Node(node).MultiWrite(addrs, payloads)
-		kv.pool.observe(node, werr)
-		if werr != nil {
-			werr = kv.pool.nodeErr(node, werr)
+	}
+	for _, w := range ws {
+		switch {
+		case w.written:
+			w.rep.state, w.rep.tag = repLive, kv.tagOf(w.rec)
+		case w.placed:
+			kv.rc.retire(w.rep)
+			fallthrough
+		default:
+			w.rep, w.err = kv.writeReplica(node, w.class, w.rec)
 		}
-		var undo []*GlobalAddr
-		for w, k := range wIdx {
-			i := act[k] // original position of this write's key
-			g := GlobalAddr{Node: node, Addr: allocs[k].Addr}
-			subErr := werr
-			if subErr == nil {
-				subErr = ws[w].Err
-			}
-			if subErr != nil {
-				errs[i] = subErr
-				undo = append(undo, &g)
-				continue
-			}
-			classSize, _ := kv.pool.ClassSize(g)
-			kv.mu.Lock()
-			kv.entries[keys[i]] = &kvEntry{
-				size:    len(values[i]),
-				version: 1,
-				reps:    []kvReplica{{addr: g, classSize: classSize, state: repLive, inc: inc}},
-			}
-			kv.mu.Unlock()
-		}
-		if len(undo) > 0 {
-			// Best-effort: don't leak allocations whose writes failed.
-			kv.pool.MultiFree(undo)
-		}
-	})
-	return nil
+	}
 }

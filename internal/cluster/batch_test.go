@@ -2,9 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
+	"time"
+
+	"corm/internal/metrics"
 )
 
 // TestPoolMultiReadAcrossNodes: one MultiRead over objects scattered on
@@ -164,16 +168,18 @@ func TestKVMultiPutGet(t *testing.T) {
 	if v, ok, _ := kv.Get("user:8"); !ok || string(v) != "fresh-8" {
 		t.Fatalf("sibling overwrite: %q", v)
 	}
-	// Overwrites freed the old objects rather than leaking them: total live
-	// allocations still equal the number of distinct keys.
+	// Overwrites retired the old objects rather than leaking them: they are
+	// stocked as spare slots, so total live allocations equal the distinct
+	// keys plus the spare stock.
 	var live int64
 	pool.mu.Lock()
 	for _, a := range pool.allocs {
 		live += a
 	}
 	pool.mu.Unlock()
-	if live != n {
-		t.Fatalf("live allocations = %d, want %d (overwrite leaked)", live, n)
+	stocked := int64(len(spareAddrs(kv)))
+	if live != n+stocked {
+		t.Fatalf("live allocations = %d, want %d keys + %d spares (overwrite leaked)", live, n, stocked)
 	}
 }
 
@@ -304,4 +310,211 @@ func TestKVGetRaceWithCompaction(t *testing.T) {
 	close(stop)
 	churn.Wait()
 	<-compactDone
+}
+
+// rpcRequests counts the frames every server in the process executed.
+var rpcRequests = metrics.Default().Counter("corm_rpc_requests_total", "")
+
+// batchOf builds n distinct keys and their values.
+func batchOf(prefix string, n int) ([]string, [][]byte) {
+	keys := make([]string, n)
+	vals := make([][]byte, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s-%d", prefix, i)
+		vals[i] = []byte(fmt.Sprintf("%s-val-%d", prefix, i))
+	}
+	return keys, vals
+}
+
+// mustMultiPut runs a MultiPut that every key must ack.
+func mustMultiPut(t *testing.T, kv *KV, keys []string, vals [][]byte) {
+	t.Helper()
+	errs, err := kv.MultiPut(keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if e != nil {
+			t.Fatalf("put %s: %v", keys[i], e)
+		}
+	}
+}
+
+// TestMultiPutFramesPerNode: a fault-free replicated MultiPut of new keys
+// costs two frames per node, one alloc and one write, however many keys
+// it carries.
+func TestMultiPutFramesPerNode(t *testing.T) {
+	c := spinLocal(t, 3)
+	kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: 3, WriteConcern: 2})
+	keys, vals := batchOf("frames", 256)
+	before := rpcRequests.Value()
+	mustMultiPut(t, kv, keys, vals)
+	if d := rpcRequests.Value() - before; d > 2*3 {
+		t.Fatalf("MultiPut of %d keys on 3 nodes cost %d frames, want at most 6", len(keys), d)
+	}
+	if n := kv.DegradedKeys(); n != 0 {
+		t.Fatalf("%d degraded keys after a fault-free MultiPut", n)
+	}
+	got, found, err := kv.MultiGet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if !found[i] || !bytes.Equal(got[i], vals[i]) {
+			t.Fatalf("key %s: got %q found=%v, want %q", keys[i], got[i], found[i], vals[i])
+		}
+	}
+}
+
+// TestMultiPutNodeDown: with one node of three down behind an open
+// breaker, every key of a W=2 MultiPut acks and its replica on the dead
+// node is stale; once the node is back, the replicator restores every key
+// to full replication.
+func TestMultiPutNodeDown(t *testing.T) {
+	c := spinLocal(t, 3)
+	pool := c.Pool()
+	pool.ProbeCooldown = time.Hour
+	kv := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 2})
+	const victim = 2
+	c.Node(victim).Kill()
+	tripBreaker(t, pool, victim)
+
+	keys, vals := batchOf("down", 64)
+	mustMultiPut(t, kv, keys, vals)
+	kv.mu.Lock()
+	for _, key := range keys {
+		for _, r := range kv.entries[key].reps {
+			if want := r.addr.Node != victim; (r.state == repLive) != want {
+				kv.mu.Unlock()
+				t.Fatalf("%s replica on node %d: state %d, want live=%v", key, r.addr.Node, r.state, want)
+			}
+		}
+	}
+	kv.mu.Unlock()
+	if n := kv.DegradedKeys(); n != len(keys) {
+		t.Fatalf("%d degraded keys, want %d", n, len(keys))
+	}
+
+	rep := NewReplicator(kv, ReplicatorConfig{Interval: time.Millisecond})
+	rep.Start()
+	defer rep.Stop()
+	if err := c.Node(victim).Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.ProbeNode(victim); err != nil {
+		t.Fatalf("probe after restart: %v", err)
+	}
+	waitConverged(t, kv, 5*time.Second)
+	for i, key := range keys {
+		kv.mu.Lock()
+		e := kv.entries[key]
+		version, reps := e.version, liveRecords(e)
+		kv.mu.Unlock()
+		if len(reps) != 3 {
+			t.Fatalf("%s has %d placed replicas after repair, want 3", key, len(reps))
+		}
+		for _, r := range reps {
+			if got, want := readTag(t, pool, r.addr), kv.recordTag(key, version); got != want {
+				t.Fatalf("%s replica on node %d holds tag %#x, want %#x", key, r.addr.Node, got, want)
+			}
+		}
+		if v, ok, err := kv.Get(key); err != nil || !ok || !bytes.Equal(v, vals[i]) {
+			t.Fatalf("get %s after repair: %q found=%v err=%v", key, v, ok, err)
+		}
+	}
+}
+
+// TestMultiPutWriteConcernMiss: with two nodes of three down, every key of
+// a W=2 MultiPut fails with ErrWriteConcern, the previous entries still
+// read back, and deleting every key leaves the live node holding nothing.
+func TestMultiPutWriteConcernMiss(t *testing.T) {
+	c := spinLocal(t, 3)
+	pool := c.Pool()
+	pool.ProbeCooldown = time.Hour
+	kv := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 2})
+	keys, old := batchOf("wc", 64)
+	mustMultiPut(t, kv, keys, old)
+	for _, victim := range []int{1, 2} {
+		c.Node(victim).Kill()
+		tripBreaker(t, pool, victim)
+	}
+
+	_, vals := batchOf("wc-new", len(keys))
+	errs, err := kv.MultiPut(keys, vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range errs {
+		if !errors.Is(e, ErrWriteConcern) {
+			t.Fatalf("put %s with one live node: %v, want ErrWriteConcern", keys[i], e)
+		}
+	}
+	for i, key := range keys {
+		if v, ok, err := kv.Get(key); err != nil || !ok || !bytes.Equal(v, old[i]) {
+			t.Fatalf("get %s after a failed MultiPut: %q found=%v err=%v, want %q", key, v, ok, err, old[i])
+		}
+	}
+	for _, key := range keys {
+		if err := kv.Delete(key); err != nil {
+			t.Fatalf("delete %s: %v", key, err)
+		}
+	}
+	if s := c.Node(0).Store().Stats(); s.Allocs != s.Frees {
+		t.Fatalf("live node: %d allocs, %d frees after deleting every key", s.Allocs, s.Frees)
+	}
+}
+
+// TestMultiPutConcurrent: MultiPuts overlapping Puts, Gets and Deletes on
+// the same keys never fail, never suspect a node, and leave nothing
+// allocated once every key is deleted. W=k, so no Put still has a write in
+// flight when the last Delete returns.
+func TestMultiPutConcurrent(t *testing.T) {
+	c := spinLocal(t, 3)
+	kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: 3, WriteConcern: 3})
+	suspicions := cuNodeSuspicions.Value()
+	keys, _ := batchOf("conc", 8)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				key := keys[(g+i)%len(keys)]
+				var err error
+				switch i % 4 {
+				case 0:
+					vals := make([][]byte, len(keys))
+					for j := range vals {
+						vals[j] = []byte(fmt.Sprintf("g%d-%d-%d", g, i, j))
+					}
+					var errs []error
+					if errs, err = kv.MultiPut(keys, vals); err == nil {
+						err = errors.Join(errs...)
+					}
+				case 1:
+					err = kv.Put(key, []byte(fmt.Sprintf("g%d-%d", g, i)))
+				case 2:
+					err = kv.Delete(key)
+				default:
+					_, _, err = kv.Get(key)
+				}
+				if err != nil {
+					t.Errorf("g%d op %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if d := cuNodeSuspicions.Value() - suspicions; d != 0 {
+		t.Fatalf("%d node suspicions on a fault-free run", d)
+	}
+	for _, key := range keys {
+		if err := kv.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := outstanding(c); n != 0 {
+		t.Fatalf("%d records outstanding after deleting every key", n)
+	}
 }

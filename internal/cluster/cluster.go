@@ -18,6 +18,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -610,43 +611,46 @@ func (kv *KV) Put(key string, value []byte) error {
 	for pending > 0 && succ < kv.w && succ+pending >= kv.w {
 		o := <-res
 		pending--
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			e.reps[o.i].state = repStale
-			continue
+		e.reps[o.i], firstErr = o.rep, cmp.Or(firstErr, o.err)
+		if o.err == nil {
+			succ++
 		}
-		e.reps[o.i] = o.rep
-		succ++
 	}
 
-	if succ < kv.w {
-		// Unreachable write concern: retire every slot this Put wrote,
-		// stragglers included, and leave the previous entry intact.
-		cuWriteConcernMisses.Inc()
-		go func(e *kvEntry, pending int) {
-			for ; pending > 0; pending-- {
-				if o := <-res; o.err == nil {
-					kv.rc.retire(o.rep)
-				}
-			}
-			kv.rc.retire(liveRecords(e)...)
-		}(e, pending)
-		return fmt.Errorf("%w: %d/%d acks (replicas=%d): %w",
-			ErrWriteConcern, succ, kv.w, kv.k, firstErr)
-	}
-
-	// W replicas hold the record: install the entry. A concurrent Put may
-	// have installed a higher version already — then this write lost the
-	// overlap race and retires its own slots instead.
-	kv.mu.Lock()
-	prev := kv.entries[key]
-	if prev != nil && prev.version > version {
-		kv.mu.Unlock()
+	installed, err := kv.install(key, e, succ, firstErr)
+	if !installed {
+		// Write concern missed, or a newer version won the race: retire
+		// every slot this Put wrote, stragglers included; the previous
+		// entry stays intact.
 		kv.rc.retire(liveRecords(e)...)
 		kv.drainStragglers(key, nil, version, res, pending)
-		return nil
+		return err
+	}
+	// Stragglers keep running; their outcomes fold into the entry (or are
+	// retired if the entry moved on).
+	kv.drainStragglers(key, e, version, res, pending)
+	return nil
+}
+
+// install is the commit step Put and MultiPut share, once succ of e's
+// replicas hold its record. Below the write concern it fails with
+// ErrWriteConcern. A concurrent Put may have installed a higher version
+// already; then this write lost the overlap race. Otherwise e replaces the
+// key's entry, the previous entry's records are retired (readers of the
+// old snapshot may hold them), and replicas already stale are queued for
+// repair. It reports whether e was installed; if not, the caller retires
+// e's slots.
+func (kv *KV) install(key string, e *kvEntry, succ int, firstErr error) (bool, error) {
+	if succ < kv.w {
+		cuWriteConcernMisses.Inc()
+		return false, fmt.Errorf("%w: %d/%d acks (replicas=%d): %w",
+			ErrWriteConcern, succ, kv.w, kv.k, firstErr)
+	}
+	kv.mu.Lock()
+	prev := kv.entries[key]
+	if prev != nil && prev.version > e.version {
+		kv.mu.Unlock()
+		return false, nil
 	}
 	kv.noteRemoved(key, prev)
 	kv.entries[key] = e
@@ -661,19 +665,16 @@ func (kv *KV) Put(key string, value []byte) error {
 	}
 	kv.mu.Unlock()
 
-	kv.rc.retire(prevReps...) // readers of the old snapshot may hold them
+	kv.rc.retire(prevReps...)
 	if stale {
-		// A replica write already failed before the ack: queue its repair
-		// now rather than waiting for a read to trip over it or for the
-		// replicator's next paced cycle. If the node is still down, the
-		// repair no-ops and the key stays on the degraded index. A replica
-		// still pending needs no repair; its straggler reports in.
+		// A replica write already failed: queue its repair now rather than
+		// waiting for a read to trip over it or for the replicator's next
+		// paced cycle. If the node is still down, the repair no-ops and the
+		// key stays on the degraded index. A replica still pending needs no
+		// repair; its straggler reports in.
 		kv.scheduleRepair(key)
 	}
-	// Stragglers keep running; their outcomes fold into the entry (or are
-	// retired if the entry moved on).
-	kv.drainStragglers(key, e, version, res, pending)
-	return nil
+	return true, nil
 }
 
 // repOutcome is one replica write's result during a Put fan-out.
@@ -687,16 +688,12 @@ type repOutcome struct {
 // when the reclaimer holds one and it fits, else a fresh allocation. A
 // spare whose write fails goes back to the reclaimer (its slot still holds
 // its old record unless the write landed unacknowledged) and the replica
-// falls back to a fresh allocation.
+// falls back to a fresh allocation. On failure it returns the replica
+// marked stale.
 func (kv *KV) writeReplica(node, class int, rec []byte) (kvReplica, error) {
-	var tag uint64
-	if kv.tagBytes() > 0 {
-		tag = binary.LittleEndian.Uint64(rec)
-	}
-	if class < len(rec) {
-		class = 0 // no spare fits
-	}
-	if r, ok := kv.rc.take(node, class); ok {
+	tag := kv.tagOf(rec)
+	stale := kvReplica{addr: GlobalAddr{Node: node}, state: repStale}
+	if r, ok := kv.rc.take(node, class, len(rec)); ok {
 		var err error = core.ErrCompacting
 		if kv.rc.merging == nil || !kv.rc.merging(r.addr) {
 			err = kv.pool.writeAck(&r.addr, rec, false)
@@ -710,15 +707,23 @@ func (kv *KV) writeReplica(node, class int, rec []byte) (kvReplica, error) {
 	inc := kv.pool.incarnation(node)
 	g, err := kv.pool.AllocOn(node, len(rec))
 	if err != nil {
-		return kvReplica{}, err
+		return stale, err
 	}
 	classSize, _ := kv.pool.ClassSize(g)
 	r := kvReplica{addr: g, classSize: classSize, state: repLive, inc: inc, tag: tag}
 	if err := kv.pool.writeAck(&r.addr, rec, true); err != nil {
 		kv.rc.retire(r)
-		return kvReplica{}, err
+		return stale, err
 	}
 	return r, nil
+}
+
+// tagOf reads the version tag heading an encoded record (0: untagged).
+func (kv *KV) tagOf(rec []byte) (tag uint64) {
+	if kv.tagBytes() > 0 {
+		tag = binary.LittleEndian.Uint64(rec)
+	}
+	return tag
 }
 
 // liveRecords collects every placed replica record of an entry, under kv.mu
@@ -1016,10 +1021,8 @@ func (kv *KV) RepairKey(key string) (int, error) {
 			kv.mu.Unlock()
 			repaired++
 			cuReplicasRepaired.Inc()
-			// A rebuilt store may have handed the new copy the old
-			// record's address: then there is nothing to retire.
-			if !old.addr.Addr.IsZero() && old.addr != r.addr {
-				kv.retireIfOurs(key, version, old)
+			if !old.addr.Addr.IsZero() {
+				kv.retireIfOurs(key, version, old, r)
 			}
 		} else {
 			kv.mu.Unlock()
@@ -1039,8 +1042,11 @@ func (kv *KV) RepairKey(key string) (int, error) {
 // wholesale), and a genuinely divergent old-version record was already
 // retired when its Put was superseded. A record that proves ours is
 // retired under the incarnation it was read on, even if a suspicion
-// started a new one since it was allocated.
-func (kv *KV) retireIfOurs(key string, version uint64, old kvReplica) {
+// started a new one since it was allocated. A rebuilt store reissues
+// object IDs too, so the old pointer, corrected by that read, may name
+// cur, the copy that replaced it (same node, same ID): then there is
+// nothing to retire.
+func (kv *KV) retireIfOurs(key string, version uint64, old, cur kvReplica) {
 	if kv.tagBytes() > 0 {
 		// Untagged records (k==1) never reach the repair path; if they
 		// did, there is no way to verify ownership — retire as before.
@@ -1049,6 +1055,9 @@ func (kv *KV) retireIfOurs(key string, version uint64, old kvReplica) {
 			return
 		}
 		old.inc = inc
+	}
+	if old.addr.Node == cur.addr.Node && old.addr.Addr.ID() == cur.addr.Addr.ID() {
+		return
 	}
 	kv.rc.retire(old)
 }
@@ -1104,11 +1113,4 @@ func (kv *KV) Len() int {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	return len(kv.entries)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

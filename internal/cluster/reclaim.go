@@ -39,6 +39,10 @@ type reclaimer struct {
 	mu     sync.Mutex
 	limbo  [2][]kvReplica
 	spares map[spareKey][]kvReplica // (node, class capacity) → free slots
+	// frees counts the frees running off the caller's path; idle (on mu)
+	// is signalled when it drops to zero.
+	frees int
+	idle  sync.Cond
 	// merging, set by tests, makes a record's block look mid-merge to its
 	// reuse write and its free (both then meet core.ErrCompacting).
 	merging func(GlobalAddr) bool
@@ -58,7 +62,9 @@ const (
 )
 
 func newReclaimer(p *Pool) *reclaimer {
-	return &reclaimer{pool: p, spares: map[spareKey][]kvReplica{}}
+	rc := &reclaimer{pool: p, spares: map[spareKey][]kvReplica{}}
+	rc.idle.L = &rc.mu
+	return rc
 }
 
 // enter registers a reader; call it before taking the snapshot.
@@ -80,18 +86,33 @@ func (rc *reclaimer) exit(e uint64) { rc.readers[e&1].Add(-1) }
 // the caller's path.
 func (rc *reclaimer) retire(recs ...kvReplica) {
 	rc.mu.Lock()
-	out := rc.releaseLocked(recs, nil)
+	rc.freeLaterLocked(rc.releaseLocked(recs, nil))
 	rc.mu.Unlock()
-	if len(out) > 0 {
-		go rc.free(out)
+}
+
+// freeLaterLocked frees recs on a goroutine of their own, counted in
+// rc.frees; call it with rc.mu held.
+func (rc *reclaimer) freeLaterLocked(recs []kvReplica) {
+	if len(recs) == 0 {
+		return
 	}
+	rc.frees++
+	go func() {
+		rc.free(recs)
+		rc.mu.Lock()
+		if rc.frees--; rc.frees == 0 {
+			rc.idle.Broadcast()
+		}
+		rc.mu.Unlock()
+	}()
 }
 
 // drain is Delete's retire: it waits out the grace period, then frees the
 // records on the caller's path. They are never stocked, so their blocks
 // stay open to compaction. A Delete that empties the index also frees the
-// whole spare stock: a KV with no keys holds no memory on any store.
-// Records a reader still holds after drainWait stay in limbo.
+// whole spare stock and waits for the frees running off the caller's path:
+// a KV with no keys holds no memory on any store. Records a reader still
+// holds after drainWait stay in limbo.
 func (rc *reclaimer) drain(recs []kvReplica, empty bool) error {
 	for i := range recs {
 		recs[i].classSize = 0 // unstockable
@@ -112,7 +133,15 @@ func (rc *reclaimer) drain(recs []kvReplica, empty bool) error {
 		clear(rc.spares)
 	}
 	rc.mu.Unlock()
-	return rc.free(out)
+	err := rc.free(out)
+	if empty {
+		rc.mu.Lock()
+		for rc.frees > 0 {
+			rc.idle.Wait()
+		}
+		rc.mu.Unlock()
+	}
+	return err
 }
 
 // releaseLocked adds recs to the current epoch's limbo and advances as far
@@ -153,18 +182,20 @@ func (rc *reclaimer) current(k spareKey, out []kvReplica) ([]kvReplica, []kvRepl
 	return st, out
 }
 
-// take pops a spare slot of the given class on node.
-func (rc *reclaimer) take(node, class int) (r kvReplica, ok bool) {
+// take pops a spare slot of the given class on node, if the class holds
+// size bytes.
+func (rc *reclaimer) take(node, class, size int) (r kvReplica, ok bool) {
+	if class < size {
+		return r, false
+	}
 	k := spareKey{node, class}
 	rc.mu.Lock()
 	st, stale := rc.current(k, nil)
 	if ok = len(st) > 0; ok {
 		r, rc.spares[k] = st[len(st)-1], st[:len(st)-1]
 	}
+	rc.freeLaterLocked(stale)
 	rc.mu.Unlock()
-	if len(stale) > 0 {
-		go rc.free(stale)
-	}
 	return r, ok
 }
 

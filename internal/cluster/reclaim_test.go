@@ -514,3 +514,92 @@ func TestReclaimIntactAfterBreakerTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReclaimGetRacesMultiPut: a Get takes its snapshot, then a batched
+// overwrite replaces the key. The replaced record is retired, not freed,
+// so the Get serves the snapshot's value, unreplicated or replicated.
+func TestReclaimGetRacesMultiPut(t *testing.T) {
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			c := spinLocal(t, 3)
+			kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: k})
+			if err := kv.Put("A", []byte("A-v1")); err != nil {
+				t.Fatal(err)
+			}
+			fired := false
+			kv.afterSnapshot = func(key string) {
+				if fired {
+					return
+				}
+				fired = true
+				errs, err := kv.MultiPut([]string{"B", "A"}, [][]byte{[]byte("B-v1"), []byte("A-v2")})
+				if err != nil {
+					t.Errorf("racing multiput: %v", err)
+					return
+				}
+				for i, e := range errs {
+					if e != nil {
+						t.Errorf("racing multiput key %d: %v", i, e)
+					}
+				}
+			}
+			v, ok, err := kv.Get("A")
+			if !fired {
+				t.Fatal("hook never ran")
+			}
+			if err != nil || !ok || string(v) != "A-v1" {
+				t.Fatalf("get racing a multiput: %q found=%v err=%v, want the snapshot's A-v1", v, ok, err)
+			}
+			if v, ok, err := kv.Get("A"); err != nil || !ok || string(v) != "A-v2" {
+				t.Fatalf("get after the multiput: %q found=%v err=%v, want A-v2", v, ok, err)
+			}
+		})
+	}
+}
+
+// TestReclaimRepairKeepsReissuedID: a rebuilt store reissues object IDs, so
+// a stale replica's old pointer can carry the ID of the copy repair just
+// wrote into the same block. The tag-verifying read before the retire
+// corrects the old pointer onto that copy; retiring it would stock the
+// live copy as a spare for another key to overwrite.
+func TestReclaimRepairKeepsReissuedID(t *testing.T) {
+	c := spinLocal(t, 2)
+	pool := c.Pool()
+	kv := NewReplicatedKV(pool, ReplicationConfig{Replicas: 2, WriteConcern: 2})
+	if err := kv.Put("k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	var cur kvReplica
+	for _, r := range records(t, kv, "k") {
+		if r.addr.Node == 0 {
+			cur = r
+		}
+	}
+	// A neighbour in cur's block, and an old pointer to the neighbour's
+	// slot that carries cur's ID.
+	g, err := pool.AllocOn(0, versionTagBytes+len("v1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := cur.addr.Addr.ID()
+	if g.Addr.ID() == id {
+		t.Fatal("neighbour drew cur's ID: the old pointer would not need correcting")
+	}
+	old := cur
+	old.addr.Addr = core.MakeAddr(g.Addr.VAddr(), id, g.Addr.RKey(), g.Addr.Class())
+	probe := old.addr
+	if !pool.holdsTag(&probe, kv.recordTag("k", 1)) || probe.Addr.VAddr() != cur.addr.Addr.VAddr() {
+		t.Fatalf("old pointer %v resolved to %v, want cur's slot %v", old.addr, probe, cur.addr)
+	}
+
+	kv.retireIfOurs("k", 1, old, cur)
+	kv.rc.mu.Lock()
+	limbo := len(kv.rc.limbo[0]) + len(kv.rc.limbo[1])
+	kv.rc.mu.Unlock()
+	if spareAddrs(kv)[probe] || spareAddrs(kv)[cur.addr] || limbo != 0 {
+		t.Fatalf("live copy %v retired through an old pointer with its ID", cur.addr)
+	}
+	if v, ok, err := kv.Get("k"); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("get after the retire check: %q found=%v err=%v", v, ok, err)
+	}
+}
