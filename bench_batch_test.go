@@ -115,12 +115,12 @@ func BenchmarkReadAsyncPipelined(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
-// TestAsyncBatchAllocBudget pins the async facade: 64 ReadAsync, 64
-// WriteAsync or 64 FetchAddAsync calls, flushed as one batch and waited on,
-// cost at most 205 allocations per batch on either wire, client and
-// in-process server together. Every future costs two (the future and its
-// channel); the rest is the flush. A batcher that built its flush function
-// on every call would show here first.
+// TestAsyncBatchAllocBudget pins the async facade: 64 ReadAsync or 64
+// FetchAddAsync calls, flushed as one batch and waited on, cost at most 205
+// allocations per batch on either wire, client and in-process server
+// together. Every future costs two (the future and its channel); the rest
+// is the flush. A batcher that built its flush function on every call
+// would show here first.
 func TestAsyncBatchAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc accounting in -short")
@@ -140,7 +140,6 @@ func TestAsyncBatchAllocBudget(t *testing.T) {
 			for i := range bufs {
 				bufs[i] = make([]byte, 64)
 			}
-			payload := make([]byte, 64)
 			futs := make([]*Future, batch)
 			afuts := make([]*AtomicFuture, batch)
 			wait := func() {
@@ -158,12 +157,6 @@ func TestAsyncBatchAllocBudget(t *testing.T) {
 				{"ReadAsync", func() {
 					for i := range addrs {
 						futs[i] = cli.ReadAsync(addrs[i], bufs[i])
-					}
-					wait()
-				}},
-				{"WriteAsync", func() {
-					for i := range addrs {
-						futs[i] = cli.WriteAsync(addrs[i], payload)
 					}
 					wait()
 				}},

@@ -1,10 +1,9 @@
 // Replication benchmarks: the cost of k-way fan-out writes and
 // failed-over reads against the in-process cluster harness, comparable
 // with the single-node TCP numbers in bench_results.txt. Replicated puts
-// fan out in parallel through each node's async write batcher; the
-// remaining overhead versus k=1 is the per-replica alloc round trip, the
-// version-tagged record copy, and the alloc-swap-free of the overwritten
-// generation.
+// fan out in parallel, one OpWrite round trip per replica into a spare or
+// freshly allocated slot; the remaining overhead versus k=1 is the fan-out
+// itself and the version-tagged record copy.
 package corm
 
 import (

@@ -1,18 +1,16 @@
-// Asynchronous operations with transparent coalescing. ReadAsync,
-// WriteAsync and FetchAddAsync return a future immediately; a batcher
-// gathers every operation issued within a small window (AsyncWindow) — or
-// until AsyncMaxBatch operations are pending — and flushes them as one
-// OpBatch frame. Callers that naturally issue bursts of independent
-// operations (index probes, scatter-gather KV lookups, replica write
-// fan-out, counter bumps) get doorbell-style batching without
-// restructuring their code around Multi* calls; the futures resolve
-// individually, each with its own status and corrected pointer.
+// Asynchronous operations with transparent coalescing. ReadAsync and
+// FetchAddAsync return a future immediately; a batcher gathers every
+// operation issued within a small window (AsyncWindow) — or until
+// AsyncMaxBatch operations are pending — and flushes them as one OpBatch
+// frame. Callers that naturally issue bursts of independent operations
+// (index probes, scatter-gather KV lookups, counter bumps) get
+// doorbell-style batching without restructuring their code around Multi*
+// calls; the futures resolve individually, each with its own status and
+// corrected pointer.
 //
-// There is one batcher type and three queues of it, one per retry rule: a
-// frame is re-issued across transport reconnects only if every sub-op in
-// it may be. Reads are idempotent and tokened atomics are deduplicated by
-// the server, so their frames are re-issued; a lost write frame cannot tell
-// whether the server applied it, so writes never share a frame with them.
+// There is one batcher type and two queues of it, reads and tokened
+// atomics. Both are re-issued across transport reconnects: reads are
+// idempotent and tokened atomics are deduplicated by the server.
 package client
 
 import (
@@ -30,7 +28,7 @@ type Future struct {
 }
 
 // Wait blocks until the operation completes, returning the bytes copied
-// (for reads; 0 for writes) and the operation's status.
+// and the operation's status.
 func (f *Future) Wait() (int, error) {
 	<-f.done
 	return f.n, f.err
@@ -63,8 +61,7 @@ func (f *AtomicFuture) resolve(val uint64, err error) {
 	close(f.done)
 }
 
-// asyncOp is one pending read or write awaiting the next flush. buf is the
-// caller's destination buffer for reads and the payload for writes.
+// asyncOp is one pending read awaiting the next flush into buf.
 type asyncOp struct {
 	addr *core.Addr
 	buf  []byte
@@ -160,18 +157,6 @@ func (c *Ctx) ReadAsync(addr *core.Addr, buf []byte) *Future {
 	return f
 }
 
-// WriteAsync enqueues a write of payload and returns a future for its
-// completion. Writes enqueued within the coalescing window dispatch as a
-// single MultiWrite round trip — replica fan-outs from many concurrent
-// Puts against the same node share frames. Like Write, the batch is NOT
-// re-issued across transport reconnects, and the pointer is corrected in
-// place before the future resolves.
-func (c *Ctx) WriteAsync(addr *core.Addr, payload []byte) *Future {
-	f := &Future{done: make(chan struct{})}
-	c.writes.add(asyncOp{addr: addr, buf: payload, fut: f}, c.AsyncMaxBatch, c.AsyncWindow)
-	return f
-}
-
 // FetchAddAsync enqueues a pushdown fetch-add and returns a future for its
 // pre-add value. Atomics enqueued within the coalescing window dispatch as
 // one RMW round trip — the doorbell batching that lets a counter workload
@@ -188,13 +173,11 @@ func (c *Ctx) FetchAddAsync(addr *core.Addr, off int, delta int64) *AtomicFuture
 // futures.
 func (c *Ctx) Flush() {
 	c.reads.dispatch()
-	c.writes.dispatch()
 	c.atomics.dispatch()
 }
 
-// flushOps issues one coalesced MultiRead or MultiWrite and resolves every
-// future.
-func (c *Ctx) flushOps(batch []asyncOp, multi func([]*core.Addr, [][]byte) ([]OpResult, error)) {
+// flushReads issues one coalesced MultiRead and resolves every future.
+func (c *Ctx) flushReads(batch []asyncOp) {
 	if len(batch) == 0 {
 		return
 	}
@@ -205,7 +188,7 @@ func (c *Ctx) flushOps(batch []asyncOp, multi func([]*core.Addr, [][]byte) ([]Op
 		addrs[i] = op.addr
 		bufs[i] = op.buf
 	}
-	results, err := multi(addrs, bufs)
+	results, err := c.MultiRead(addrs, bufs)
 	for i, op := range batch {
 		if err != nil {
 			op.fut.resolve(0, err)

@@ -290,24 +290,6 @@ func TestFetchAddAsync(t *testing.T) {
 	})
 }
 
-func TestWriteAsync(t *testing.T) {
-	eachBackend(t, func(t *testing.T, _ *core.Store, ctx *Ctx) {
-		a := counterObj(t, ctx, 16)
-		fut := ctx.WriteAsync(&a, []byte("async-write"))
-		ctx.Flush()
-		if _, err := fut.Wait(); err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]byte, 11)
-		if _, err := ctx.Read(&a, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, []byte("async-write")) {
-			t.Fatalf("read back %q", buf)
-		}
-	})
-}
-
 // TestPushdownSurvivesCompaction: pushdown atomics against objects that a
 // compaction pass relocates keep working and fold the corrected pointer
 // into the caller's copy.
@@ -353,15 +335,15 @@ func TestCloseDrainsAtomicFutures(t *testing.T) {
 		ctx.FetchAddAsync(&a, 0, 1),
 		ctx.FetchAddAsync(&a, 0, 1),
 	}
-	wfut := ctx.WriteAsync(&a, []byte("pending"))
+	rfut := ctx.ReadAsync(&a, make([]byte, 16))
 	ctx.Close()
 	for _, f := range futs {
 		if _, err := f.Wait(); err == nil {
 			t.Fatal("future resolved OK after Close without a flush")
 		}
 	}
-	if _, err := wfut.Wait(); err == nil {
-		t.Fatal("write future resolved OK after Close without a flush")
+	if _, err := rfut.Wait(); err == nil {
+		t.Fatal("read future resolved OK after Close without a flush")
 	}
 }
 

@@ -65,16 +65,14 @@ type Ctx struct {
 	// channel cannot tell whether the server executed the lost request.
 	ConnRetries int
 
-	// AsyncWindow and AsyncMaxBatch tune ReadAsync/WriteAsync/FetchAddAsync
+	// AsyncWindow and AsyncMaxBatch tune ReadAsync/FetchAddAsync
 	// coalescing: pending asynchronous operations flush as one OpBatch when
 	// the window elapses or the batch fills, whichever is first.
 	AsyncWindow   time.Duration
 	AsyncMaxBatch int
 
-	// One queue per retry rule (async.go): reads and tokened atomics are
-	// re-issued across reconnects, writes never are.
+	// The async queues (async.go).
 	reads   batcher[asyncOp]
-	writes  batcher[asyncOp]
 	atomics batcher[atomicOp]
 
 	// tokenBase/tokenSeq mint the per-operation dedup tokens of the
@@ -130,8 +128,7 @@ func New(b Backend) (*Ctx, error) {
 	}
 	c.classes, c.blockBytes, c.mode = info.Classes, info.BlockBytes, info.Consistency
 	c.ConnRetries = 3
-	c.reads.init(func(ops []asyncOp) { c.flushOps(ops, c.MultiRead) })
-	c.writes.init(func(ops []asyncOp) { c.flushOps(ops, c.MultiWrite) })
+	c.reads.init(c.flushReads)
 	c.atomics.init(c.flushAtomics)
 	return c, nil
 }
@@ -141,7 +138,6 @@ func New(b Backend) (*Ctx, error) {
 func (c *Ctx) Close() error {
 	err := errors.New("client: context closed")
 	c.reads.drain(err)
-	c.writes.drain(err)
 	c.atomics.drain(err)
 	return c.backend.Close()
 }

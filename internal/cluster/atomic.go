@@ -137,7 +137,7 @@ func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
 			lastErr = err
 			continue
 		}
-		kv.foldAddr(key, e, i, g, r.classSize, version)
+		kv.foldAddr(key, e, i, r, g, r.classSize, version)
 		primary = i
 		old = v
 		break
@@ -173,7 +173,7 @@ func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
 		go func(i int, g GlobalAddr) {
 			_, err := kv.pool.FetchAdd(&g, wireOff, delta)
 			if err == nil {
-				kv.foldAddr(key, e, i, g, reps[i].classSize, version)
+				kv.foldAddr(key, e, i, reps[i], g, reps[i].classSize, version)
 			}
 			res <- propOutcome{i: i, err: err}
 		}(i, r.addr)

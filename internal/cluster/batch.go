@@ -202,7 +202,8 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 		e         *kvEntry
 		version   uint64
 		size      int
-		repIdx    int // which replica the batched read targets; -1: none
+		repIdx    int       // which replica the batched read targets; -1: none
+		from      kvReplica // its snapshot, for foldAddr
 		g         GlobalAddr
 		classSize int
 	}
@@ -231,7 +232,7 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 		}
 		refs[i] = ref{
 			e: e, version: e.version, size: e.size,
-			repIdx: rep, g: e.reps[rep].addr, classSize: e.reps[rep].classSize,
+			repIdx: rep, from: e.reps[rep], g: e.reps[rep].addr, classSize: e.reps[rep].classSize,
 		}
 		live++
 	}
@@ -278,7 +279,7 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 				}
 				vals[i] = bufs[k][tag : tag+refs[i].size]
 				found[i] = true
-				kv.foldAddr(keys[i], refs[i].e, refs[i].repIdx, refs[i].g, refs[i].classSize, refs[i].version)
+				kv.foldAddr(keys[i], refs[i].e, refs[i].repIdx, refs[i].from, refs[i].g, refs[i].classSize, refs[i].version)
 			case kv.k > 1 && isDivergent(results[k].Err):
 				// The replica lost the record (wiped node): repairable
 				// divergence, not a miss — another replica may serve, and

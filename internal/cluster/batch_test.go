@@ -466,55 +466,59 @@ func TestMultiPutWriteConcernMiss(t *testing.T) {
 
 // TestMultiPutConcurrent: MultiPuts overlapping Puts, Gets and Deletes on
 // the same keys never fail, never suspect a node, and leave nothing
-// allocated once every key is deleted. W=k, so no Put still has a write in
-// flight when the last Delete returns.
+// allocated once every key is deleted. At W=2 a Put acks with its third
+// write still in flight; the Delete that empties the index waits for it.
 func TestMultiPutConcurrent(t *testing.T) {
-	c := spinLocal(t, 3)
-	kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: 3, WriteConcern: 3})
-	suspicions := cuNodeSuspicions.Value()
-	keys, _ := batchOf("conc", 8)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				key := keys[(g+i)%len(keys)]
-				var err error
-				switch i % 4 {
-				case 0:
-					vals := make([][]byte, len(keys))
-					for j := range vals {
-						vals[j] = []byte(fmt.Sprintf("g%d-%d-%d", g, i, j))
+	for _, w := range []int{3, 2} {
+		t.Run(fmt.Sprintf("W=%d", w), func(t *testing.T) {
+			c := spinLocal(t, 3)
+			kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: 3, WriteConcern: w})
+			suspicions := cuNodeSuspicions.Value()
+			keys, _ := batchOf("conc", 8)
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 100; i++ {
+						key := keys[(g+i)%len(keys)]
+						var err error
+						switch i % 4 {
+						case 0:
+							vals := make([][]byte, len(keys))
+							for j := range vals {
+								vals[j] = []byte(fmt.Sprintf("g%d-%d-%d", g, i, j))
+							}
+							var errs []error
+							if errs, err = kv.MultiPut(keys, vals); err == nil {
+								err = errors.Join(errs...)
+							}
+						case 1:
+							err = kv.Put(key, []byte(fmt.Sprintf("g%d-%d", g, i)))
+						case 2:
+							err = kv.Delete(key)
+						default:
+							_, _, err = kv.Get(key)
+						}
+						if err != nil {
+							t.Errorf("g%d op %d: %v", g, i, err)
+							return
+						}
 					}
-					var errs []error
-					if errs, err = kv.MultiPut(keys, vals); err == nil {
-						err = errors.Join(errs...)
-					}
-				case 1:
-					err = kv.Put(key, []byte(fmt.Sprintf("g%d-%d", g, i)))
-				case 2:
-					err = kv.Delete(key)
-				default:
-					_, _, err = kv.Get(key)
-				}
-				if err != nil {
-					t.Errorf("g%d op %d: %v", g, i, err)
-					return
+				}(g)
+			}
+			wg.Wait()
+			if d := cuNodeSuspicions.Value() - suspicions; d != 0 {
+				t.Fatalf("%d node suspicions on a fault-free run", d)
+			}
+			for _, key := range keys {
+				if err := kv.Delete(key); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	if d := cuNodeSuspicions.Value() - suspicions; d != 0 {
-		t.Fatalf("%d node suspicions on a fault-free run", d)
-	}
-	for _, key := range keys {
-		if err := kv.Delete(key); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := outstanding(c); n != 0 {
-		t.Fatalf("%d records outstanding after deleting every key", n)
+			if n := outstanding(c); n != 0 {
+				t.Fatalf("%d records outstanding after deleting every key", n)
+			}
+		})
 	}
 }

@@ -588,9 +588,8 @@ func (kv *KV) Put(key string, value []byte) error {
 		cuReplicatedWrites.Inc()
 	}
 
-	// Fan out: one goroutine per replica. The write itself is asynchronous
-	// on the node's OpBatch channel (WriteAsync), so concurrent Puts touching
-	// the same node coalesce into one frame.
+	// Fan out: one goroutine per replica, each writing its record with one
+	// OpWrite round trip (writeAck).
 	res := make(chan repOutcome, len(nodes))
 	for i, node := range nodes {
 		go func(i, node int) {
@@ -617,19 +616,23 @@ func (kv *KV) Put(key string, value []byte) error {
 		}
 	}
 
+	if pending > 0 {
+		// Counted before the entry can be installed, so a Delete that
+		// empties the index waits for the stragglers' slots.
+		kv.rc.bg.Add(1)
+	}
 	installed, err := kv.install(key, e, succ, firstErr)
 	if !installed {
 		// Write concern missed, or a newer version won the race: retire
 		// every slot this Put wrote, stragglers included; the previous
 		// entry stays intact.
 		kv.rc.retire(liveRecords(e)...)
-		kv.drainStragglers(key, nil, version, res, pending)
-		return err
+		e = nil
 	}
 	// Stragglers keep running; their outcomes fold into the entry (or are
 	// retired if the entry moved on).
 	kv.drainStragglers(key, e, version, res, pending)
-	return nil
+	return err
 }
 
 // install is the commit step Put and MultiPut share, once succ of e's
@@ -745,12 +748,14 @@ func liveRecords(e *kvEntry) []kvReplica {
 // cycle finds it, and a node that rejoined between the ack and the
 // straggler's failure would otherwise wait out the full interval. If the
 // entry was replaced meanwhile, late slots are retired instead.
-// Runs in the background when pending > 0.
+// Runs in the background when pending > 0; the caller counts it in
+// kv.rc.bg, and it ends the count.
 func (kv *KV) drainStragglers(key string, e *kvEntry, version uint64, res <-chan repOutcome, pending int) {
 	if pending == 0 {
 		return
 	}
 	go func() {
+		defer kv.rc.bg.Add(-1)
 		for ; pending > 0; pending-- {
 			o := <-res
 			kv.mu.Lock()
@@ -861,7 +866,7 @@ func (kv *KV) get(key string, allowRetry bool) ([]byte, bool, error) {
 				continue
 			}
 		}
-		kv.foldAddr(key, e, i, g, classSize, version)
+		kv.foldAddr(key, e, i, r, g, classSize, version)
 		if failures > 0 {
 			// Served by a backup after the primary path failed: that is
 			// one failover, measured end to end from the Get's start.
@@ -931,11 +936,18 @@ func (kv *KV) suspectNode(node int) {
 	kv.mu.Unlock()
 }
 
-// foldAddr folds a corrected pointer (and a freshly learned class size)
-// back into one replica of the index, unless the entry moved on.
-func (kv *KV) foldAddr(key string, e *kvEntry, i int, g GlobalAddr, classSize int, version uint64) {
+// foldAddr folds a corrected pointer g (and a freshly learned class size)
+// back into replica i of the index, unless the entry moved on or the
+// replica no longer holds from, the snapshot the read started from: a
+// repair may have replaced it with a new copy meanwhile, and the read,
+// registered as a reader, still reached the retired record. A read that
+// needed no correction takes no lock.
+func (kv *KV) foldAddr(key string, e *kvEntry, i int, from kvReplica, g GlobalAddr, classSize int, version uint64) {
+	if g == from.addr && classSize == from.classSize {
+		return
+	}
 	kv.mu.Lock()
-	if kv.entries[key] == e && e.version == version && e.reps[i].state == repLive {
+	if kv.entries[key] == e && e.version == version && e.reps[i].state == repLive && e.reps[i].addr == from.addr {
 		e.reps[i].addr = g
 		e.reps[i].classSize = classSize
 	}

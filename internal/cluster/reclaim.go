@@ -39,10 +39,9 @@ type reclaimer struct {
 	mu     sync.Mutex
 	limbo  [2][]kvReplica
 	spares map[spareKey][]kvReplica // (node, class capacity) → free slots
-	// frees counts the frees running off the caller's path; idle (on mu)
-	// is signalled when it drops to zero.
-	frees int
-	idle  sync.Cond
+	// bg counts background work that may still retire or free records:
+	// frees running off the caller's path and Put stragglers in flight.
+	bg atomic.Int64
 	// merging, set by tests, makes a record's block look mid-merge to its
 	// reuse write and its free (both then meet core.ErrCompacting).
 	merging func(GlobalAddr) bool
@@ -57,14 +56,13 @@ const (
 	// freeAttempts bounds the retries of a free that meets a merge before
 	// it waits for the next release pass.
 	freeAttempts = 5
-	// drainWait bounds how long Delete waits out the grace period.
+	// drainWait bounds how long Delete waits out the grace period, and how
+	// long an emptying Delete waits for background work.
 	drainWait = time.Second
 )
 
 func newReclaimer(p *Pool) *reclaimer {
-	rc := &reclaimer{pool: p, spares: map[spareKey][]kvReplica{}}
-	rc.idle.L = &rc.mu
-	return rc
+	return &reclaimer{pool: p, spares: map[spareKey][]kvReplica{}}
 }
 
 // enter registers a reader; call it before taking the snapshot.
@@ -91,31 +89,40 @@ func (rc *reclaimer) retire(recs ...kvReplica) {
 }
 
 // freeLaterLocked frees recs on a goroutine of their own, counted in
-// rc.frees; call it with rc.mu held.
+// rc.bg; call it with rc.mu held.
 func (rc *reclaimer) freeLaterLocked(recs []kvReplica) {
 	if len(recs) == 0 {
 		return
 	}
-	rc.frees++
+	rc.bg.Add(1)
 	go func() {
 		rc.free(recs)
-		rc.mu.Lock()
-		if rc.frees--; rc.frees == 0 {
-			rc.idle.Broadcast()
-		}
-		rc.mu.Unlock()
+		rc.bg.Add(-1)
 	}()
+}
+
+// waitIdle waits, at most drainWait, until no background work is counted.
+func (rc *reclaimer) waitIdle() {
+	for deadline := time.Now().Add(drainWait); rc.bg.Load() > 0 && time.Now().Before(deadline); {
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 // drain is Delete's retire: it waits out the grace period, then frees the
 // records on the caller's path. They are never stocked, so their blocks
 // stay open to compaction. A Delete that empties the index also frees the
-// whole spare stock and waits for the frees running off the caller's path:
-// a KV with no keys holds no memory on any store. Records a reader still
-// holds after drainWait stay in limbo.
+// whole spare stock: a KV with no keys holds no memory on any store. So it
+// first waits for the background work in flight — a straggler's slot then
+// reaches limbo before the grace period starts — and at the end for the
+// frees running off the caller's path. Records a reader still holds after
+// drainWait stay in limbo; background work still running after drainWait
+// retires its slots after the Delete returns.
 func (rc *reclaimer) drain(recs []kvReplica, empty bool) error {
 	for i := range recs {
 		recs[i].classSize = 0 // unstockable
+	}
+	if empty {
+		rc.waitIdle()
 	}
 	rc.mu.Lock()
 	end, deadline := rc.epoch.Load()+2, time.Now().Add(drainWait)
@@ -135,11 +142,7 @@ func (rc *reclaimer) drain(recs []kvReplica, empty bool) error {
 	rc.mu.Unlock()
 	err := rc.free(out)
 	if empty {
-		rc.mu.Lock()
-		for rc.frees > 0 {
-			rc.idle.Wait()
-		}
-		rc.mu.Unlock()
+		rc.waitIdle()
 	}
 	return err
 }

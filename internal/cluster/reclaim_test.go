@@ -603,3 +603,48 @@ func TestReclaimRepairKeepsReissuedID(t *testing.T) {
 		t.Fatalf("get after the retire check: %q found=%v err=%v", v, ok, err)
 	}
 }
+
+// TestReclaimFoldAfterRepair: between a Get's snapshot and its read, a
+// node suspicion and a repair replace the primary's record X with a new
+// copy Y and retire X. The Get, registered as a reader, still reads X; its
+// pointer fold must not put X back into the index over Y. Deleting the key
+// then frees every record.
+func TestReclaimFoldAfterRepair(t *testing.T) {
+	c := spinLocal(t, 3)
+	kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: 3, WriteConcern: 3})
+	if err := kv.Put("k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	primary := records(t, kv, "k")[0]
+	var repaired GlobalAddr
+	fired := false
+	kv.afterSnapshot = func(key string) {
+		if fired {
+			return
+		}
+		fired = true
+		kv.suspectNode(primary.addr.Node)
+		if n, err := kv.RepairKey(key); n != 1 || err != nil {
+			t.Errorf("repair: %d restored, %v", n, err)
+		}
+		repaired = records(t, kv, key)[0].addr
+	}
+	if v, ok, err := kv.Get("k"); err != nil || !ok || string(v) != "v1" {
+		t.Fatalf("get across a repair: %q found=%v err=%v", v, ok, err)
+	}
+	if !fired {
+		t.Fatal("hook never ran")
+	}
+	if repaired == primary.addr {
+		t.Fatal("repair reused the primary's record")
+	}
+	if got := records(t, kv, "k")[0].addr; got != repaired {
+		t.Fatalf("index holds %v after the get, want the repaired copy %v", got, repaired)
+	}
+	if err := kv.Delete("k"); err != nil {
+		t.Fatal(err)
+	}
+	if n := outstanding(c); n != 0 {
+		t.Fatalf("%d records outstanding after deleting the only key", n)
+	}
+}

@@ -1,9 +1,8 @@
 // Pool-level replication primitives: raw k-copy objects without the KV's
 // keyed index. A ReplicaSet is an ordered list of placements for one
-// logical object; writes fan out in parallel through each node's async
-// write batcher (so concurrent fan-outs to one node coalesce into shared
-// OpBatch frames) and ack after W successes, reads walk the set in order
-// failing over past dead replicas. The KV builds its replicated Put on
+// logical object; writes fan out in parallel, one OpWrite round trip per
+// replica, and ack after W successes, reads walk the set in order failing
+// over past dead replicas. The KV builds its replicated Put on
 // writeAck; these exported entry points give the same machinery to users
 // placing objects explicitly.
 package cluster
@@ -56,13 +55,10 @@ const writeAckRetries = 2
 // (ErrCompacting), doubling per attempt: the paper's protocol is to retry.
 const mergeBackoff = 100 * time.Microsecond
 
-// writeAck issues one replica write through the node's asynchronous write
-// batcher and waits for its acknowledgement. Because the write rides the
-// shared OpBatch channel, concurrent replica writes from other Puts
-// against the same node coalesce into one frame; the immediate Flush
-// bounds the added latency to at most one coalescing window. Pointer
-// corrections fold into g; every attempt's outcome feeds the node's
-// breaker. With reissue, a transport fault or a merge re-issues the write.
+// writeAck issues one replica write as one OpWrite round trip on the
+// caller's goroutine and returns its acknowledgement. Pointer corrections
+// fold into g; every attempt's outcome feeds the node's breaker. With
+// reissue, a transport fault or a merge re-issues the write.
 func (p *Pool) writeAck(g *GlobalAddr, payload []byte, reissue bool) error {
 	if g.Node < 0 || g.Node >= len(p.nodes) {
 		return p.errNodeRange(g.Node)
@@ -73,9 +69,7 @@ func (p *Pool) writeAck(g *GlobalAddr, payload []byte, reissue bool) error {
 	ctx := p.nodes[g.Node]
 	var err error
 	for attempt := 0; ; attempt++ {
-		fut := ctx.WriteAsync(&g.Addr, payload)
-		ctx.Flush()
-		_, err = fut.Wait()
+		err = ctx.Write(&g.Addr, payload)
 		p.observe(g.Node, err)
 		merging := errors.Is(err, core.ErrCompacting)
 		if err == nil || !reissue || attempt == writeAckRetries || !(merging || transport.IsRetryable(err)) {

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"corm/internal/metrics"
 )
 
 // tripBreaker hammers a killed node with reads until its breaker opens.
@@ -20,6 +22,34 @@ func tripBreaker(t *testing.T, pool *Pool, victim int) {
 	}
 	if !pool.NodeDown(victim) {
 		t.Fatal("breaker did not open")
+	}
+}
+
+// TestPutOneWriteFramePerReplica: a fault-free k=3 W=3 overwrite, once
+// spares are stocked, sends each replica its record as one OpWrite round
+// trip: three write RPCs per Put, and no batch frame.
+func TestPutOneWriteFramePerReplica(t *testing.T) {
+	c := spinLocal(t, 3)
+	kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: 3, WriteConcern: 3})
+	writes := metrics.Default().Histogram(`corm_rpc_latency_ns{op="write"}`, "")
+	batches := metrics.Default().Histogram(`corm_rpc_latency_ns{op="batch"}`, "")
+	for i := 0; i < 2; i++ { // the second Put stocks the first one's records as spares
+		if err := kv.Put("k", []byte(fmt.Sprintf("warm%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const puts = 20
+	w0, b0 := writes.Snapshot().Count, batches.Snapshot().Count
+	for i := 0; i < puts; i++ {
+		if err := kv.Put("k", []byte(fmt.Sprintf("v%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := writes.Snapshot().Count - w0; d != 3*puts {
+		t.Fatalf("%d Puts cost %d OpWrite RPCs, want %d", puts, d, 3*puts)
+	}
+	if d := batches.Snapshot().Count - b0; d != 0 {
+		t.Fatalf("%d Puts cost %d OpBatch frames, want 0", puts, d)
 	}
 }
 
