@@ -16,58 +16,47 @@ import (
 	"errors"
 	"fmt"
 
+	"corm/internal/client"
 	"corm/internal/core"
 )
 
 // FetchAdd atomically adds delta to the little-endian u64 at off inside
 // the object, server-side on the owning node, returning the pre-add
 // value. The pointer is corrected in place.
-func (p *Pool) FetchAdd(g *GlobalAddr, off int, delta int64) (uint64, error) {
-	ctx, err := p.ctxOf(*g)
-	if err != nil {
-		return 0, err
-	}
-	v, err := ctx.FetchAdd(&g.Addr, off, delta)
-	p.observe(g.Node, err)
-	return v, p.nodeErr(g.Node, err)
+func (p *Pool) FetchAdd(g *GlobalAddr, off int, delta int64) (v uint64, err error) {
+	err = p.on(g.Node, func(c *client.Ctx) (err error) {
+		v, err = c.FetchAdd(&g.Addr, off, delta)
+		return err
+	})
+	return v, err
 }
 
 // CAS atomically compares len(old) payload bytes at off with old and, on
 // a match, overwrites them with new — on the owning node, under the
 // object's block lock. A mismatch returns core.ErrConflict.
 func (p *Pool) CAS(g *GlobalAddr, off int, old, new []byte) error {
-	ctx, err := p.ctxOf(*g)
-	if err != nil {
-		return err
-	}
-	err = ctx.CAS(&g.Addr, off, old, new)
-	p.observe(g.Node, err)
-	return p.nodeErr(g.Node, err)
+	return p.on(g.Node, func(c *client.Ctx) error { return c.CAS(&g.Addr, off, old, new) })
 }
 
 // PutIf writes the object payload only if its version still equals
 // version, returning the resulting version (the observed one alongside
 // core.ErrConflict).
-func (p *Pool) PutIf(g *GlobalAddr, version uint32, value []byte) (uint32, error) {
-	ctx, err := p.ctxOf(*g)
-	if err != nil {
-		return 0, err
-	}
-	v, err := ctx.PutIf(&g.Addr, version, value)
-	p.observe(g.Node, err)
-	return v, p.nodeErr(g.Node, err)
+func (p *Pool) PutIf(g *GlobalAddr, version uint32, value []byte) (v uint32, err error) {
+	err = p.on(g.Node, func(c *client.Ctx) (err error) {
+		v, err = c.PutIf(&g.Addr, version, value)
+		return err
+	})
+	return v, err
 }
 
 // PutIfAbsent writes the object payload only if the object has never been
 // written — first-writer-wins initialization across the cluster.
-func (p *Pool) PutIfAbsent(g *GlobalAddr, value []byte) (uint32, error) {
-	ctx, err := p.ctxOf(*g)
-	if err != nil {
-		return 0, err
-	}
-	v, err := ctx.PutIfAbsent(&g.Addr, value)
-	p.observe(g.Node, err)
-	return v, p.nodeErr(g.Node, err)
+func (p *Pool) PutIfAbsent(g *GlobalAddr, value []byte) (v uint32, err error) {
+	err = p.on(g.Node, func(c *client.Ctx) (err error) {
+		v, err = c.PutIfAbsent(&g.Addr, value)
+		return err
+	})
+	return v, err
 }
 
 // FetchAdd atomically adds delta to the little-endian u64 at byte off of
@@ -117,9 +106,8 @@ func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
 	primary := -1
 	var old uint64
 	var lastErr error
-	for i := range reps {
-		r := reps[i]
-		if r.state != repLive || r.addr.Addr.IsZero() {
+	for i, r := range reps {
+		if !r.readable() {
 			continue
 		}
 		g := r.addr
@@ -156,62 +144,34 @@ func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
 	}
 
 	// Propagate the delta to the other live replicas in parallel and ack
-	// at the write concern, counting the primary as the first ack.
+	// at the write concern, counting the primary as the first ack. A
+	// replica that misses its delta, before the ack or after it, is marked
+	// stale so repair converges it.
 	cuCounterPropagations.Inc()
-	type propOutcome struct {
-		i   int
-		err error
-	}
-	res := make(chan propOutcome, len(reps))
-	fanned := 0
-	for i := range reps {
-		r := reps[i]
-		if i == primary || r.state != repLive || r.addr.Addr.IsZero() {
-			continue
+	var fan []int // indices into reps
+	for i, r := range reps {
+		if i != primary && r.readable() {
+			fan = append(fan, i)
 		}
-		fanned++
-		go func(i int, g GlobalAddr) {
-			_, err := kv.pool.FetchAdd(&g, wireOff, delta)
-			if err == nil {
-				kv.foldAddr(key, e, i, reps[i], g, reps[i].classSize, version)
-			}
-			res <- propOutcome{i: i, err: err}
-		}(i, r.addr)
 	}
-
-	succ, pending := 1, fanned
-	var firstErr error
-	for pending > 0 && succ < kv.w && succ+pending >= kv.w {
-		o := <-res
-		pending--
+	miss := func(o outcome) {
 		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			kv.markStale(key, e, o.i, version)
+			kv.markStale(key, e, fan[o.i], version)
 			kv.scheduleRepair(key)
-			continue
 		}
-		succ++
 	}
-	// Stragglers past the ack point finish in the background; a late
-	// failure still marks its replica stale so repair converges it.
-	if pending > 0 {
+	late, err := writeW(len(fan), 1, kv.w, func(j int) error {
+		r := reps[fan[j]]
+		g := r.addr
+		_, err := kv.pool.FetchAdd(&g, wireOff, delta)
+		if err == nil {
+			kv.foldAddr(key, e, fan[j], r, g, r.classSize, version)
+		}
+		return err
+	}, func(o outcome) bool { miss(o); return false })
+	if late.n > 0 {
 		stayRegistered = true
-		go func(pending int) {
-			defer kv.rc.exit(epoch)
-			for ; pending > 0; pending-- {
-				if o := <-res; o.err != nil {
-					kv.markStale(key, e, o.i, version)
-					kv.scheduleRepair(key)
-				}
-			}
-		}(pending)
+		late.handOff(miss, func() { kv.rc.exit(epoch) })
 	}
-	if succ < kv.w {
-		cuWriteConcernMisses.Inc()
-		return old, true, fmt.Errorf("%w: %d/%d acks (replicas=%d): %v",
-			ErrWriteConcern, succ, kv.w, kv.k, firstErr)
-	}
-	return old, true, nil
+	return old, true, err
 }

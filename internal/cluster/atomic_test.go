@@ -163,6 +163,9 @@ func TestKVFetchAddWriteConcernMiss(t *testing.T) {
 	if !errors.Is(err, ErrWriteConcern) {
 		t.Fatalf("want ErrWriteConcern, got %v", err)
 	}
+	if ne, ok := AsNodeError(err); !ok || ne.Node != victim {
+		t.Fatalf("write-concern error does not name the killed node %d: %v", victim, err)
+	}
 	if !found || old != 50 {
 		t.Fatalf("old=%d found=%v", old, found)
 	}

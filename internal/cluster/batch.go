@@ -10,9 +10,9 @@ package cluster
 
 import (
 	"cmp"
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"corm/internal/client"
@@ -22,11 +22,6 @@ import (
 
 // OpResult re-exports the client's per-sub-operation outcome.
 type OpResult = client.OpResult
-
-// errNodeRange builds the out-of-range error every routed call uses.
-func (p *Pool) errNodeRange(node int) error {
-	return fmt.Errorf("cluster: node %d out of range", node)
-}
 
 // groupByNode buckets operation indices by owning node, preserving input
 // order inside each bucket.
@@ -72,24 +67,18 @@ func (p *Pool) MultiRead(gs []*GlobalAddr, bufs [][]byte) ([]OpResult, error) {
 	results := make([]OpResult, len(gs))
 	groups := groupByNode(len(gs), func(i int) int { return gs[i].Node })
 	fanOut(groups, func(node int, idxs []int) {
-		if node < 0 || node >= len(p.nodes) {
-			fillErr(results, idxs, p.errNodeRange(node))
-			return
-		}
-		if err := p.gate(node); err != nil {
-			fillErr(results, idxs, err)
-			return
-		}
 		addrs := make([]*core.Addr, len(idxs))
 		nb := make([][]byte, len(idxs))
 		for k, i := range idxs {
 			addrs[k] = &gs[i].Addr
 			nb[k] = bufs[i]
 		}
-		rs, err := p.nodes[node].MultiRead(addrs, nb)
-		p.observe(node, err)
-		if err != nil {
-			fillErr(results, idxs, p.nodeErr(node, err))
+		var rs []OpResult
+		if err := p.on(node, func(c *client.Ctx) (err error) {
+			rs, err = c.MultiRead(addrs, nb)
+			return err
+		}); err != nil {
+			fillErr(results, idxs, err)
 			return
 		}
 		for k, i := range idxs {
@@ -102,17 +91,12 @@ func (p *Pool) MultiRead(gs []*GlobalAddr, bufs [][]byte) ([]OpResult, error) {
 // MultiAllocOn allocates len(sizes) objects on one node in one round trip.
 // Successful sub-allocations are counted toward the node's load; their
 // pointers are in the results' Addr fields.
-func (p *Pool) MultiAllocOn(node int, sizes []int) ([]OpResult, error) {
-	if node < 0 || node >= len(p.nodes) {
-		return nil, p.errNodeRange(node)
-	}
-	if err := p.gate(node); err != nil {
+func (p *Pool) MultiAllocOn(node int, sizes []int) (rs []OpResult, err error) {
+	if err = p.on(node, func(c *client.Ctx) (err error) {
+		rs, err = c.MultiAlloc(sizes)
+		return err
+	}); err != nil {
 		return nil, err
-	}
-	rs, err := p.nodes[node].MultiAlloc(sizes)
-	p.observe(node, err)
-	if err != nil {
-		return nil, p.nodeErr(node, err)
 	}
 	live := 0
 	for i := range rs {
@@ -120,11 +104,7 @@ func (p *Pool) MultiAllocOn(node int, sizes []int) ([]OpResult, error) {
 			live++
 		}
 	}
-	if live > 0 {
-		p.mu.Lock()
-		p.allocs[node] += int64(live)
-		p.mu.Unlock()
-	}
+	p.addLoad(node, int64(live))
 	return rs, nil
 }
 
@@ -135,22 +115,16 @@ func (p *Pool) MultiFree(gs []*GlobalAddr) ([]OpResult, error) {
 	results := make([]OpResult, len(gs))
 	groups := groupByNode(len(gs), func(i int) int { return gs[i].Node })
 	fanOut(groups, func(node int, idxs []int) {
-		if node < 0 || node >= len(p.nodes) {
-			fillErr(results, idxs, p.errNodeRange(node))
-			return
-		}
-		if err := p.gate(node); err != nil {
-			fillErr(results, idxs, err)
-			return
-		}
 		addrs := make([]*core.Addr, len(idxs))
 		for k, i := range idxs {
 			addrs[k] = &gs[i].Addr
 		}
-		rs, err := p.nodes[node].MultiFree(addrs)
-		p.observe(node, err)
-		if err != nil {
-			fillErr(results, idxs, p.nodeErr(node, err))
+		var rs []OpResult
+		if err := p.on(node, func(c *client.Ctx) (err error) {
+			rs, err = c.MultiFree(addrs)
+			return err
+		}); err != nil {
+			fillErr(results, idxs, err)
 			return
 		}
 		freed := 0
@@ -160,11 +134,7 @@ func (p *Pool) MultiFree(gs []*GlobalAddr) ([]OpResult, error) {
 				freed++
 			}
 		}
-		if freed > 0 {
-			p.mu.Lock()
-			p.allocs[node] -= int64(freed)
-			p.mu.Unlock()
-		}
+		p.addLoad(node, -int64(freed))
 	})
 	return results, nil
 }
@@ -199,13 +169,12 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 	// of each pointer (entries are shared across concurrent operations) and
 	// corrections are folded back only if the entry is still current.
 	type ref struct {
-		e         *kvEntry
-		version   uint64
-		size      int
-		repIdx    int       // which replica the batched read targets; -1: none
-		from      kvReplica // its snapshot, for foldAddr
-		g         GlobalAddr
-		classSize int
+		e       *kvEntry
+		version uint64
+		size    int
+		repIdx  int       // which replica the batched read targets; -1: none
+		from    kvReplica // its snapshot, for foldAddr
+		g       GlobalAddr
 	}
 	refs := make([]ref, n)
 	var fallback []int // keys that must go through the failover read path
@@ -217,23 +186,14 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 		if e == nil {
 			continue
 		}
-		rep := -1
-		for j := range e.reps {
-			if e.reps[j].state == repLive && !e.reps[j].addr.Addr.IsZero() {
-				rep = j
-				break
-			}
-		}
+		rep := slices.IndexFunc(e.reps, kvReplica.readable)
 		if rep == -1 {
 			// No live replica on record; Get will retry/repair.
 			fallback = append(fallback, i)
 			refs[i] = ref{e: e, repIdx: -1}
 			continue
 		}
-		refs[i] = ref{
-			e: e, version: e.version, size: e.size,
-			repIdx: rep, from: e.reps[rep], g: e.reps[rep].addr, classSize: e.reps[rep].classSize,
-		}
+		refs[i] = ref{e: e, version: e.version, size: e.size, repIdx: rep, from: e.reps[rep], g: e.reps[rep].addr}
 		live++
 	}
 	kv.mu.Unlock()
@@ -246,18 +206,13 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 			if refs[i].e == nil || refs[i].repIdx < 0 {
 				continue
 			}
-			if refs[i].classSize == 0 {
-				cs, cerr := kv.pool.ClassSize(refs[i].g)
-				if cerr != nil {
-					if err == nil {
-						err = cerr
-					}
-					continue
-				}
-				refs[i].classSize = cs
+			buf, cerr := kv.pool.recordBuf(refs[i].from)
+			if cerr != nil {
+				err = cmp.Or(err, cerr)
+				continue
 			}
 			gaddrs = append(gaddrs, &refs[i].g)
-			bufs = append(bufs, make([]byte, refs[i].classSize))
+			bufs = append(bufs, buf)
 			idx = append(idx, i)
 		}
 		results, rerr := kv.pool.MultiRead(gaddrs, bufs)
@@ -265,40 +220,25 @@ func (kv *KV) MultiGet(keys []string) (vals [][]byte, found []bool, err error) {
 			return vals, found, rerr
 		}
 		for k, i := range idx {
+			r, rerr := &refs[i], results[k].Err
+			if rerr == nil {
+				rerr = checkTag(bufs[k], r.g, kv.recordTag(keys[i], r.version))
+			}
 			switch {
-			case results[k].Err == nil:
-				if tag > 0 && binary.LittleEndian.Uint64(bufs[k]) != kv.recordTag(keys[i], refs[i].version) {
-					// Divergent replica: reject, mark for repair (the key
-					// and the rebuilt node's whole population), fail over.
-					cuStaleReads.Inc()
-					if kv.markStale(keys[i], refs[i].e, refs[i].repIdx, refs[i].version) {
-						kv.suspectNode(refs[i].g.Node)
-					}
-					fallback = append(fallback, i)
-					continue
-				}
-				vals[i] = bufs[k][tag : tag+refs[i].size]
+			case rerr == nil:
+				vals[i] = bufs[k][tag : tag+r.size]
 				found[i] = true
-				kv.foldAddr(keys[i], refs[i].e, refs[i].repIdx, refs[i].from, refs[i].g, refs[i].classSize, refs[i].version)
-			case kv.k > 1 && isDivergent(results[k].Err):
-				// The replica lost the record (wiped node): repairable
-				// divergence, not a miss — another replica may serve, and
-				// the rebuilt node's whole population needs repair.
-				if kv.markStale(keys[i], refs[i].e, refs[i].repIdx, refs[i].version) {
-					kv.suspectNode(refs[i].g.Node)
-				}
+				kv.foldAddr(keys[i], r.e, r.repIdx, r.from, r.g, len(bufs[k]), r.version)
+			case kv.k > 1 && kv.diverged(keys[i], r.e, r.repIdx, r.version, r.g.Node, rerr):
+				// Another replica may serve; the diverged one awaits repair.
 				fallback = append(fallback, i)
-			case kv.k == 1 && isMissing(results[k].Err):
+			case kv.k == 1 && isMissing(rerr):
 				// Unreplicated: the object vanished under us (freed or
 				// released elsewhere) — an honest miss, not a failure.
+			case kv.k > 1:
+				fallback = append(fallback, i)
 			default:
-				if kv.k > 1 {
-					fallback = append(fallback, i)
-					continue
-				}
-				if err == nil {
-					err = fmt.Errorf("cluster: MultiGet %q: %w", keys[i], results[k].Err)
-				}
+				err = cmp.Or(err, fmt.Errorf("cluster: MultiGet %q: %w", keys[i], rerr))
 			}
 		}
 	}
@@ -390,7 +330,7 @@ func (kv *KV) MultiPut(keys []string, values [][]byte) (errs []error, err error)
 				succ++
 			}
 		}
-		if ok, ierr := kv.install(keys[i], e, succ, firstErr); !ok {
+		if ok, ierr := kv.install(keys[i], e, errConcern(succ, kv.w, len(ws), firstErr)); !ok {
 			kv.rc.retire(liveRecords(e)...)
 			errs[i] = ierr
 		}
@@ -448,9 +388,12 @@ func (kv *KV) writeReplicas(node int, ws []*replicaWrite) {
 			payloads = append(payloads, w.rec)
 		}
 	}
-	if len(sent) > 0 && kv.pool.gate(node) == nil {
-		rs, err := kv.pool.nodes[node].MultiWrite(addrs, payloads)
-		kv.pool.observe(node, err)
+	if len(sent) > 0 {
+		var rs []OpResult
+		err := kv.pool.on(node, func(c *client.Ctx) (err error) {
+			rs, err = c.MultiWrite(addrs, payloads)
+			return err
+		})
 		for k, w := range sent {
 			w.written = err == nil && rs[k].Err == nil
 		}

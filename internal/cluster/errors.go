@@ -37,19 +37,10 @@ func AsNodeError(err error) (*NodeError, bool) {
 	return nil, false
 }
 
-// nodeErr wraps err with the node's index and label unless it already
-// carries one (the gate path wraps before the fan-out path observes).
+// nodeErr attributes a failure of an operation on the node to it.
 func (p *Pool) nodeErr(node int, err error) error {
 	if err == nil {
 		return nil
 	}
-	var ne *NodeError
-	if errors.As(err, &ne) {
-		return err
-	}
-	label := ""
-	if node >= 0 && node < len(p.labels) {
-		label = p.labels[node]
-	}
-	return &NodeError{Node: node, Label: label, Err: err}
+	return &NodeError{Node: node, Label: p.labels[node], Err: err}
 }

@@ -45,29 +45,27 @@ type nodeHealth struct {
 	consecFails int
 	open        bool
 	openedAt    time.Time
-	cooldown    time.Duration // jittered per trip; 0 = use p.ProbeCooldown
+	cooldown    time.Duration // jittered per trip
 	probing     bool
 }
 
 // jitteredCooldown scales the configured cooldown by 1 ± ProbeJitter·U so
 // probe storms decorrelate. Called under p.mu.
-func (p *Pool) jitteredCooldown() time.Duration {
-	d := p.ProbeCooldown
+func (p *Pool) jitteredCooldown() time.Duration { return p.jitter(p.ProbeCooldown) }
+
+// jitter scales d by 1 ± ProbeJitter·U.
+func (p *Pool) jitter(d time.Duration) time.Duration {
 	if p.ProbeJitter <= 0 || d <= 0 {
 		return d
 	}
-	f := 1 + p.ProbeJitter*(2*rand.Float64()-1)
-	return time.Duration(float64(d) * f)
+	return time.Duration(float64(d) * (1 + p.ProbeJitter*(2*rand.Float64()-1)))
 }
 
-// cooldownOf returns the health's jittered cooldown, falling back to the
-// un-jittered configured value for breakers opened before the jitter was
-// introduced (zero value). Called under p.mu.
-func (p *Pool) cooldownOf(h *nodeHealth) time.Duration {
-	if h.cooldown > 0 {
-		return h.cooldown
-	}
-	return p.ProbeCooldown
+// passable reports, under p.mu, whether traffic may reach the node: its
+// breaker is closed, or open with its cooldown over and no probe in flight.
+func (p *Pool) passable(node int) bool {
+	h := &p.health[node]
+	return !h.open || !h.probing && time.Since(h.openedAt) >= h.cooldown
 }
 
 // gate decides, under p.mu, whether an operation may proceed against the
@@ -76,17 +74,14 @@ func (p *Pool) cooldownOf(h *nodeHealth) time.Duration {
 func (p *Pool) gate(node int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	h := &p.health[node]
-	if !h.open {
-		return nil
+	if !p.passable(node) {
+		cuFailFasts.Inc()
+		return p.nodeErr(node, ErrNodeDown)
 	}
-	if !h.probing && time.Since(h.openedAt) >= p.cooldownOf(h) {
-		// Half-open: let exactly one operation through as the probe.
-		h.probing = true
-		return nil
+	if h := &p.health[node]; h.open {
+		h.probing = true // half-open: this operation is the probe
 	}
-	cuFailFasts.Inc()
-	return &NodeError{Node: node, Label: p.labels[node], Err: ErrNodeDown}
+	return nil
 }
 
 // observe records an operation's outcome against the node's breaker. Only
@@ -180,11 +175,7 @@ func (p *Pool) StartProber(interval time.Duration) (stop func()) {
 	doneCh := make(chan struct{})
 	go func() {
 		for {
-			d := interval
-			if p.ProbeJitter > 0 {
-				d = time.Duration(float64(interval) * (1 + p.ProbeJitter*(2*rand.Float64()-1)))
-			}
-			timer := time.NewTimer(d)
+			timer := time.NewTimer(p.jitter(interval))
 			select {
 			case <-doneCh:
 				timer.Stop()

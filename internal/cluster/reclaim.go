@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -272,11 +271,7 @@ func (rc *reclaimer) verify(recs []kvReplica) []kvReplica {
 // holdsTag reports whether the record at g (corrected in place) carries the
 // version tag.
 func (p *Pool) holdsTag(g *GlobalAddr, tag uint64) bool {
-	size, err := p.ClassSize(*g)
-	if err != nil {
-		return false
-	}
-	buf := make([]byte, size)
-	_, err = p.SmartRead(g, buf)
-	return err == nil && binary.LittleEndian.Uint64(buf) == tag
+	_, c, err := p.readRecord(kvReplica{addr: *g}, tag)
+	*g = c
+	return err == nil
 }

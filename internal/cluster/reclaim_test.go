@@ -6,6 +6,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -213,6 +214,56 @@ func TestReclaimNoSuspicionsConcurrent(t *testing.T) {
 	wg.Wait()
 	if d := cuNodeSuspicions.Value() - suspicions; d != 0 {
 		t.Fatalf("%d node suspicions on a fault-free run", d)
+	}
+}
+
+// TestReclaimChurnHoldsObjectCount: under concurrent Put/Get churn at k=3
+// W=2, overwrites hold no record beyond the index, the spare stock and
+// limbo. Once the churn stops and the stragglers and background frees are
+// done, the stores' live objects are exactly keys × 3 + spares + limbo,
+// so memory that grows under churn is holes in blocks, not leaked records.
+func TestReclaimChurnHoldsObjectCount(t *testing.T) {
+	c := spinLocal(t, 3)
+	kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: 3, WriteConcern: 2})
+	const keys = 500
+	val := make([]byte, 128)
+	for i := 0; i < keys; i++ {
+		if err := kv.Put(fmt.Sprintf("k%d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for time.Now().Before(deadline) {
+				key := fmt.Sprintf("k%d", rng.Intn(keys))
+				var err error
+				if rng.Intn(5) == 0 {
+					err = kv.Put(key, val)
+				} else {
+					_, _, err = kv.Get(key)
+				}
+				if err != nil {
+					t.Errorf("g%d %s: %v", g, key, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	kv.rc.waitIdle()
+	kv.rc.mu.Lock()
+	held := len(kv.rc.limbo[0]) + len(kv.rc.limbo[1])
+	for _, st := range kv.rc.spares {
+		held += len(st)
+	}
+	kv.rc.mu.Unlock()
+	if got, want := outstanding(c), int64(keys*3+held); got != want {
+		t.Fatalf("%d live objects, want %d keys × 3 + %d spares and limbo", got, keys, held)
 	}
 }
 

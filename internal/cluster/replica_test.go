@@ -150,10 +150,15 @@ func TestWriteReplicatedConcern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Node(rs.Reps[1].Node).Kill()
+	victim := rs.Reps[1].Node
+	c.Node(victim).Kill()
 
-	if err := pool.WriteReplicated(rs, []byte("x"), 3); !errors.Is(err, ErrWriteConcern) {
+	err = pool.WriteReplicated(rs, []byte("x"), 3)
+	if !errors.Is(err, ErrWriteConcern) {
 		t.Fatalf("W=3 with a dead replica: err=%v, want ErrWriteConcern", err)
+	}
+	if ne, ok := AsNodeError(err); !ok || ne.Node != victim {
+		t.Fatalf("write-concern error does not name the killed node %d: %v", victim, err)
 	}
 	if err := pool.WriteReplicated(rs, []byte("x"), 2); err != nil {
 		t.Fatalf("W=2 with a dead replica: %v", err)

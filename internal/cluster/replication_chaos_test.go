@@ -429,7 +429,7 @@ func TestProbeTimeoutBoundsHungNode(t *testing.T) {
 // TestBreakerCooldownJitter: trip cooldowns spread within ±ProbeJitter and
 // are not all identical — no synchronized probe storms.
 func TestBreakerCooldownJitter(t *testing.T) {
-	p := newPool()
+	p := newPool(nil, nil)
 	p.ProbeCooldown = 100 * time.Millisecond
 	lo := 80 * time.Millisecond
 	hi := 120 * time.Millisecond

@@ -18,29 +18,18 @@ import (
 // defaults.
 type ReplicatorConfig struct {
 	// Interval paces repair cycles while there is work (default 100ms).
+	// Cycles that find nothing to repair double the wait up to
+	// idleBackoff×Interval, so an idle replicator costs near nothing.
 	Interval time.Duration
-	// MaxInterval caps the exponential idle backoff: cycles that find
-	// nothing to repair double the wait up to this bound (default
-	// 32×Interval), so an idle replicator costs near nothing.
-	MaxInterval time.Duration
-	// MaxKeysPerCycle bounds repair work per cycle (default 64), keeping
-	// one cycle's network load predictable; remaining keys wait for the
-	// next cycle.
-	MaxKeysPerCycle int
 }
 
-func (c ReplicatorConfig) withDefaults() ReplicatorConfig {
-	if c.Interval <= 0 {
-		c.Interval = 100 * time.Millisecond
-	}
-	if c.MaxInterval <= 0 {
-		c.MaxInterval = 32 * c.Interval
-	}
-	if c.MaxKeysPerCycle <= 0 {
-		c.MaxKeysPerCycle = 64
-	}
-	return c
-}
+const (
+	// idleBackoff caps the exponential idle backoff, in Intervals.
+	idleBackoff = 32
+	// maxKeysPerCycle bounds repair work per cycle, keeping one cycle's
+	// network load predictable; remaining keys wait for the next cycle.
+	maxKeysPerCycle = 64
+)
 
 // RepairReport summarizes one replicator cycle.
 type RepairReport struct {
@@ -72,11 +61,10 @@ type Replicator struct {
 // recovery hook on its pool: when a down node's breaker closes, the next
 // cycle runs immediately.
 func NewReplicator(kv *KV, cfg ReplicatorConfig) *Replicator {
-	r := &Replicator{
-		kv:   kv,
-		cfg:  cfg.withDefaults(),
-		kick: make(chan struct{}, 1),
+	if cfg.Interval <= 0 {
+		cfg.Interval = 100 * time.Millisecond
 	}
+	r := &Replicator{kv: kv, cfg: cfg, kick: make(chan struct{}, 1)}
 	kv.pool.setRecoverHook(func(int) { r.Kick() })
 	return r
 }
@@ -143,10 +131,7 @@ func (r *Replicator) loop(stop, done chan struct{}) {
 		case rep.Repaired == 0 && rep.Remaining == 0:
 			// Idle: back off exponentially so a healthy cluster pays
 			// almost nothing for the standing service.
-			wait *= 2
-			if wait > r.cfg.MaxInterval {
-				wait = r.cfg.MaxInterval
-			}
+			wait = min(2*wait, idleBackoff*r.cfg.Interval)
 		case rep.Repaired > 0 && rep.Remaining > 0:
 			// Work-conserving drain: the cycle made progress and left a
 			// backlog (the per-cycle bound, or repairs that failed on a
@@ -162,12 +147,12 @@ func (r *Replicator) loop(stop, done chan struct{}) {
 	}
 }
 
-// RunCycle synchronously repairs up to MaxKeysPerCycle degraded keys and
+// RunCycle synchronously repairs up to maxKeysPerCycle degraded keys and
 // reports what it did. Exported for tests and for callers that pace
 // repair themselves.
 func (r *Replicator) RunCycle() RepairReport {
 	cuReplicatorCycles.Inc()
-	keys := r.kv.degradedSnapshot(r.cfg.MaxKeysPerCycle)
+	keys := r.kv.degradedSnapshot(maxKeysPerCycle)
 	rep := RepairReport{Scanned: len(keys)}
 	for _, key := range keys {
 		n, err := r.kv.RepairKey(key)
