@@ -330,7 +330,6 @@ type (
 	GlobalAddr        = cluster.GlobalAddr
 	KV                = cluster.KV
 	ReplicationConfig = cluster.ReplicationConfig
-	ReplicaSet        = cluster.ReplicaSet
 	Replicator        = cluster.Replicator
 	ReplicatorConfig  = cluster.ReplicatorConfig
 	RepairReport      = cluster.RepairReport

@@ -46,6 +46,16 @@ type dmaReconnector interface {
 	ReconnectDMA() error
 }
 
+// poster is the optional Backend facet that posts a call instead of
+// blocking on it: the request leaves from the caller's goroutine and its
+// completion arrives later, on a channel of the caller's choosing
+// (transport.Conn implements it). A backend without it runs a posted call
+// on a goroutine of its own.
+type poster interface {
+	PostCall(req rpc.Request, tag int, done chan<- transport.Completion) transport.Posted
+	Response(r transport.Completion) (rpc.Response, *transport.Lease, error)
+}
+
 // Ctx is a client context bound to one CoRM node.
 type Ctx struct {
 	backend    Backend
@@ -279,13 +289,7 @@ func (c *Ctx) Alloc(size int) (core.Addr, error) {
 // was indirect.
 func (c *Ctx) Free(addr *core.Addr) error {
 	resp, lease, err := c.callLease(rpc.Request{Op: rpc.OpFree, Addr: *addr}, false)
-	if err != nil {
-		return err
-	}
-	c.adopt(addr, resp.Addr)
-	e := resp.Status.Err()
-	lease.Release()
-	return e
+	return c.ack(addr, resp, lease, err)
 }
 
 // Read reads the object via RPC; pointer correction is transparent. Reads
@@ -311,6 +315,40 @@ func (c *Ctx) Read(addr *core.Addr, buf []byte) (int, error) {
 // receive lease — no heap copy on the acknowledge path.
 func (c *Ctx) Write(addr *core.Addr, payload []byte) error {
 	resp, lease, err := c.callLease(rpc.Request{Op: rpc.OpWrite, Addr: *addr, Payload: payload}, false)
+	return c.ack(addr, resp, lease, err)
+}
+
+// PostWrite posts a Write of payload to *addr from the caller's goroutine
+// and returns without waiting: its completion arrives on done under tag
+// (done must have room for it), and WriteDone finishes it. Like Write it is
+// never re-issued. The caller expires the write through the returned
+// Posted once it has been open for its Timeout. With a backend that cannot
+// post, the Write runs on a goroutine of its own, which corrects *addr
+// before it completes; its Posted is zero.
+func (c *Ctx) PostWrite(addr *core.Addr, payload []byte, tag int, done chan<- transport.Completion) transport.Posted {
+	if p, ok := c.backend.(poster); ok {
+		return p.PostCall(rpc.Request{Op: rpc.OpWrite, Addr: *addr, Payload: payload}, tag, done)
+	}
+	go func() { done <- transport.Completion{Tag: tag, Err: c.Write(addr, payload)} }()
+	return transport.Posted{}
+}
+
+// WriteDone is a posted Write's completion step: it decodes the reply
+// (breaking the channel on a frame that does not decode), folds the
+// server's pointer correction into *addr, and returns the store status.
+func (c *Ctx) WriteDone(r transport.Completion, addr *core.Addr) error {
+	p, ok := c.backend.(poster)
+	if !ok {
+		return r.Err // the Write ran on its own goroutine
+	}
+	resp, lease, err := p.Response(r)
+	return c.ack(addr, resp, lease, err)
+}
+
+// ack is the acknowledge step of an op whose reply carries only a status
+// and a corrected pointer: fold the correction into *addr, release the
+// lease, return the store status.
+func (c *Ctx) ack(addr *core.Addr, resp rpc.Response, lease *transport.Lease, err error) error {
 	if err != nil {
 		return err
 	}

@@ -160,7 +160,7 @@ func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
 			kv.scheduleRepair(key)
 		}
 	}
-	late, err := writeW(len(fan), 1, kv.w, func(j int) error {
+	f := kv.pool.newFanout(len(fan), func(j int) error {
 		r := reps[fan[j]]
 		g := r.addr
 		_, err := kv.pool.FetchAdd(&g, wireOff, delta)
@@ -168,10 +168,12 @@ func (kv *KV) FetchAdd(key string, off int, delta int64) (uint64, bool, error) {
 			kv.foldAddr(key, e, fan[j], r, g, r.classSize, version)
 		}
 		return err
-	}, func(o outcome) bool { miss(o); return false })
-	if late.n > 0 {
-		stayRegistered = true
-		late.handOff(miss, func() { kv.rc.exit(epoch) })
+	})
+	for j := range fan {
+		f.start(j, nil, nil)
 	}
+	err := f.writeW(1, kv.w, miss)
+	stayRegistered = f.open > 0
+	f.handOff(miss, func() { kv.rc.exit(epoch) })
 	return old, true, err
 }

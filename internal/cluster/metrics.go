@@ -46,6 +46,8 @@ var (
 		"background re-replicator cycles executed")
 	cuCounterPropagations = metrics.Default().Counter("corm_cluster_counter_propagations_total",
 		"replicated KV fetch-adds fanned out past the primary replica")
+	cuBlockingLegs = metrics.Default().Counter("corm_cluster_replica_blocking_legs_total",
+		"replica writes of a W-of-k write run on a goroutine of their own")
 
 	// Overload control.
 	cuAdmitted = metrics.Default().Counter("corm_cluster_admission_admitted_total",

@@ -1,11 +1,12 @@
-// Tests for the pool-level ReplicaSet API (raw k-copy objects without
-// the KV index) and for the replicated batch put path.
+// Tests for the replicated write path: Put's posted replica writes, the
+// batched put path, and the replication services.
 package cluster
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -53,115 +54,149 @@ func TestPutOneWriteFramePerReplica(t *testing.T) {
 	}
 }
 
-// TestReplicaSetLifecycle: alloc k copies, write with W=2, read, fail
-// over past a killed primary, free.
-func TestReplicaSetLifecycle(t *testing.T) {
+// TestPutPostsSpareWrites: once spares are stocked, every replica write
+// of a k=3 W=3 overwrite is posted from the Put's own goroutine — 20
+// overwrites run no blocking leg — and each Put starts no goroutine.
+func TestPutPostsSpareWrites(t *testing.T) {
 	c := spinLocal(t, 3)
-	pool := c.Pool()
-
-	rs, err := pool.AllocReplicated(64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Reps) != 3 {
-		t.Fatalf("got %d replicas, want 3", len(rs.Reps))
-	}
-	seen := map[int]bool{}
-	for _, g := range rs.Reps {
-		if seen[g.Node] {
-			t.Fatalf("replica nodes not distinct: %v", rs.Reps)
+	kv := NewReplicatedKV(c.Pool(), ReplicationConfig{Replicas: 3, WriteConcern: 3})
+	// Values keep one size: a record that changes size needs a fresh slot.
+	for i := 0; i < 2; i++ { // the second Put stocks the first one's records as spares
+		if err := kv.Put("k", []byte(fmt.Sprintf("warm%02d", i))); err != nil {
+			t.Fatal(err)
 		}
-		seen[g.Node] = true
 	}
-
-	payload := []byte("replicated-payload")
-	if err := pool.WriteReplicated(rs, payload, 2); err != nil {
-		t.Fatal(err)
+	b0 := cuBlockingLegs.Value()
+	for i := 0; i < 20; i++ {
+		if err := kv.Put("k", []byte(fmt.Sprintf("over%02d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if n := kv.rc.bg.Load(); n != 0 {
+			t.Fatalf("a W=k Put left %d stragglers", n)
+		}
 	}
-
-	buf := make([]byte, 64)
-	n, rep, err := pool.ReadReplicated(rs, buf)
-	if err != nil || rep != 0 {
-		t.Fatalf("read: n=%d rep=%d err=%v", n, rep, err)
-	}
-	if !bytes.Equal(buf[:len(payload)], payload) {
-		t.Fatalf("read back %q, want %q", buf[:len(payload)], payload)
-	}
-
-	// Kill the primary: the read must serve from a later replica.
-	c.Node(rs.Reps[0].Node).Kill()
-	before := cuFailovers.Value()
-	n, rep, err = pool.ReadReplicated(rs, buf)
-	if err != nil || rep == 0 {
-		t.Fatalf("failover read: n=%d rep=%d err=%v", n, rep, err)
-	}
-	if !bytes.Equal(buf[:len(payload)], payload) {
-		t.Fatalf("failover read back %q, want %q", buf[:len(payload)], payload)
-	}
-	if cuFailovers.Value() <= before {
-		t.Fatal("failover counter did not move")
-	}
-
-	// Free tolerates the dead node once its breaker has opened.
-	pool.ProbeCooldown = time.Hour
-	tripBreaker(t, pool, rs.Reps[0].Node)
-	if err := pool.FreeReplicated(rs); err != nil {
-		t.Fatalf("free: %v", err)
+	if d := cuBlockingLegs.Value() - b0; d != 0 {
+		t.Fatalf("20 overwrites into stocked spares ran %d blocking legs, want 0", d)
 	}
 }
 
-// TestAllocReplicatedNeedsHealthyNodes: with a breaker open, k equal to
-// the pool size is unsatisfiable and the partial alloc must not leak.
-func TestAllocReplicatedNeedsHealthyNodes(t *testing.T) {
+// blackHole serves addr with a listener that accepts connections and
+// never answers: a hung node, not a dead one. Redials succeed; calls hang.
+func blackHole(t *testing.T, addr string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		var conns []net.Conn
+		defer func() {
+			for _, c := range conns {
+				c.Close()
+			}
+		}()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conns = append(conns, conn)
+		}
+	}()
+}
+
+// TestPutPostedWriteExpiresOnHungReplica: a replica that accepts its
+// posted write and never answers holds it open until the fan-out deadline,
+// the connections' CallTimeout (2 s in the harness). At W=3 the Put fails
+// at that deadline with ErrWriteConcern naming the hung node. At W=2 it
+// acks without the replica, and the deadline expires the straggler in the
+// background: the replica is marked stale, the node's breaker counts the
+// failure, and the KV's background count returns to 0.
+func TestPutPostedWriteExpiresOnHungReplica(t *testing.T) {
+	const callTimeout = 2 * time.Second
 	c := spinLocal(t, 3)
 	pool := c.Pool()
 	pool.ProbeCooldown = time.Hour
-
+	kv3 := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 3})
+	kv2 := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 2})
+	for i := 0; i < 2; i++ { // the second Put stocks the first one's records as spares
+		for _, kv := range []*KV{kv3, kv2} {
+			if err := kv.Put("k", []byte(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// The W=2 warm-up's stragglers must land (and their slots be stocked)
+	// before the node hangs.
+	for deadline := time.Now().Add(5 * time.Second); kv2.rc.bg.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("warm-up stragglers never finished")
+		}
+	}
 	const victim = 2
 	c.Node(victim).Kill()
-	// Trip the breaker so pickReplicaNodes sees the node as down.
-	tripBreaker(t, pool, victim)
+	blackHole(t, c.Node(victim).Addr())
+	fails := func() int {
+		pool.mu.Lock()
+		defer pool.mu.Unlock()
+		return pool.health[victim].consecFails
+	}
 
-	if _, err := pool.AllocReplicated(64, 3); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("alloc with 2/3 healthy nodes: err=%v, want ErrNodeDown", err)
-	}
-	rs, err := pool.AllocReplicated(64, 2)
-	if err != nil {
-		t.Fatalf("alloc k=2 on the healthy pair: %v", err)
-	}
-	for _, rep := range rs.Reps {
-		if rep.Node == victim {
-			t.Fatalf("allocated on the down node: %v", rs.Reps)
+	put := func(kv *KV) (error, time.Duration) {
+		start := time.Now()
+		done := make(chan error, 1)
+		go func() { done <- kv.Put("k", []byte("v2")) }()
+		select {
+		case err := <-done:
+			return err, time.Since(start)
+		case <-time.After(callTimeout + 2*time.Second):
+			t.Fatal("Put against a hung replica never returned: no fan-out deadline")
+			return nil, 0
 		}
 	}
-	if err := pool.FreeReplicated(rs); err != nil {
-		t.Fatal(err)
-	}
-}
 
-// TestWriteReplicatedConcern: W beyond the reachable replicas fails with
-// ErrWriteConcern; W within them succeeds.
-func TestWriteReplicatedConcern(t *testing.T) {
-	c := spinLocal(t, 3)
-	pool := c.Pool()
-	pool.ProbeCooldown = time.Hour
-
-	rs, err := pool.AllocReplicated(64, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim := rs.Reps[1].Node
-	c.Node(victim).Kill()
-
-	err = pool.WriteReplicated(rs, []byte("x"), 3)
+	err, took := put(kv3)
 	if !errors.Is(err, ErrWriteConcern) {
-		t.Fatalf("W=3 with a dead replica: err=%v, want ErrWriteConcern", err)
+		t.Fatalf("W=3 Put with a hung replica = %v, want ErrWriteConcern", err)
 	}
 	if ne, ok := AsNodeError(err); !ok || ne.Node != victim {
-		t.Fatalf("write-concern error does not name the killed node %d: %v", victim, err)
+		t.Fatalf("write-concern error does not name the hung node %d: %v", victim, err)
 	}
-	if err := pool.WriteReplicated(rs, []byte("x"), 2); err != nil {
-		t.Fatalf("W=2 with a dead replica: %v", err)
+	if took < callTimeout/2 || took > callTimeout+time.Second {
+		t.Fatalf("W=3 Put failed after %v, want about the %v deadline", took, callTimeout)
+	}
+
+	// The channel to the hung node is broken by now, so this Put posts
+	// its write there and only the deadline ends it: no leg re-runs.
+	before, b0 := fails(), cuBlockingLegs.Value()
+	start := time.Now()
+	err, took = put(kv2)
+	if err != nil {
+		t.Fatalf("W=2 Put with one hung replica: %v", err)
+	}
+	if took > callTimeout/2 {
+		t.Fatalf("W=2 Put took %v: it waited for the hung replica", took)
+	}
+	stale := func() bool {
+		kv2.mu.Lock()
+		defer kv2.mu.Unlock()
+		for _, r := range kv2.entries["k"].reps {
+			if r.addr.Node == victim {
+				return r.state == repStale
+			}
+		}
+		return false
+	}
+	for kv2.rc.bg.Load() != 0 || !stale() || fails() <= before {
+		if time.Since(start) > callTimeout+time.Second {
+			t.Fatalf("straggler not expired %v after the Put: bg=%d stale=%v breaker fails %d -> %d",
+				time.Since(start), kv2.rc.bg.Load(), stale(), before, fails())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if d := cuBlockingLegs.Value() - b0; d != 0 {
+		t.Fatalf("the W=2 Put ran %d blocking legs, want its spare writes posted", d)
 	}
 }
 

@@ -1,11 +1,10 @@
-// Replication: the W-of-k write path. A KV Put, a replicated FetchAdd's
-// delta propagation and WriteReplicated follow one rule, writeW: one
-// message per replica, each on its own goroutine, and an ack once W
-// succeeded; writes still in flight finish in the background. Put writes
-// each replica into a slot nothing else references and commits through
-// install; RepairKey re-populates stale replicas from a tag-verified live
-// one. A ReplicaSet is one explicitly placed object's ordered replicas,
-// without the KV's index; reads walk it in order past dead replicas.
+// Replication: the W-of-k write path. A KV Put and a replicated
+// FetchAdd's delta propagation follow one rule, writeW: one message per
+// replica, an ack once W succeeded, and the writes still in flight finish
+// in the background. Put posts each replica's write into a spare slot from
+// its own goroutine, falls back to a fresh allocation where there is none,
+// and commits through install; RepairKey re-populates stale replicas from
+// a tag-verified live one.
 package cluster
 
 import (
@@ -14,10 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
+	"sync"
 	"time"
 
-	"corm/internal/client"
 	"corm/internal/core"
 	"corm/internal/transport"
 )
@@ -36,66 +34,165 @@ var ErrNoReplica = errors.New("cluster: no live replica")
 // being down.
 var ErrStaleReplica = errors.New("cluster: stale replica")
 
-// ReplicaSet is one logical object's ordered placements. Reps[0] is the
-// primary; reads try replicas in order.
-type ReplicaSet struct {
-	Reps []GlobalAddr
-}
-
-// outcome is one replica write's result in a W-of-k write.
+// outcome is one replica write's final result in a W-of-k write.
 type outcome struct {
 	i   int
 	err error
 }
 
-// stragglers are the writes of a W-of-k write still in flight when its
-// wait ended.
-type stragglers struct {
-	res <-chan outcome
-	n   int
+// A leg is one replica's write in a W-of-k write. A posted leg went out
+// from the caller's goroutine: g is its target, corrected on completion,
+// and the fan-out deadline expires it. A blocking leg (g nil) runs on a
+// goroutine of its own, whose calls carry their own timeouts.
+type leg struct {
+	g    *GlobalAddr
+	post transport.Posted
 }
 
-// writeW runs write(i) for each of n replicas, one goroutine each, and
-// hands their outcomes to fold on the caller's goroutine until the acks —
-// acked held already, plus each success — reach w, or w is out of reach;
-// fold may hold the wait open past w by returning true. It returns the
-// writes still in flight (the channel holds every result, so a straggler
-// nobody hands off still finishes) and, below w, ErrWriteConcern wrapping
-// the first failure. A write's other results go to a slot of its own, read
-// once its outcome arrived. The frames on a replica goroutine's path
-// decide where its stack grows; a growth deep in the socket write costs a
-// Put microseconds (DESIGN.md §12).
-func writeW(n, acked, w int, write func(i int) error, fold func(outcome) (hold bool)) (stragglers, error) {
-	res := make(chan outcome, n)
-	for i := 0; i < n; i++ {
-		go func(i int) { res <- outcome{i, write(i)} }(i)
+// fanout is one W-of-k write in flight: every leg reports into one
+// completion queue under its index, and one collector — the caller, then
+// the hand-off goroutine — gathers them (DESIGN.md §12).
+type fanout struct {
+	p       *Pool
+	cq      chan transport.Completion
+	legs    []leg
+	open    int               // legs whose final completion is still to come
+	block   func(i int) error // a blocking leg's write
+	timer   *time.Timer       // the posted legs' deadline
+	tc      <-chan time.Time  // timer.C while armed and not yet fired
+	expired bool              // the deadline passed
+}
+
+// fanoutPool recycles fan-outs with their completion queue and timer. A
+// fan-out goes back only once every leg completed, so its queue is empty.
+var fanoutPool = sync.Pool{New: func() any { return new(fanout) }}
+
+// newFanout begins an n-leg W-of-k write whose blocking legs run block.
+func (p *Pool) newFanout(n int, block func(i int) error) *fanout {
+	f := fanoutPool.Get().(*fanout)
+	if cap(f.cq) < n {
+		f.cq = make(chan transport.Completion, n)
 	}
-	succ, pending, hold := acked, n, false
+	if cap(f.legs) < n {
+		f.legs = make([]leg, n)
+	}
+	f.p, f.legs, f.block, f.expired = p, f.legs[:n], block, false
+	return f
+}
+
+// start launches leg i: with g, the write of payload to *g, posted from
+// the caller's goroutine through the node's breaker (an open breaker fails
+// it at once); without, a blocking leg.
+func (f *fanout) start(i int, g *GlobalAddr, payload []byte) {
+	f.open++
+	f.legs[i] = leg{}
+	if g == nil {
+		f.run(i)
+		return
+	}
+	if err := f.p.gate(g.Node); err != nil {
+		f.cq <- transport.Completion{Tag: i, Err: err}
+		return
+	}
+	post := f.p.nodes[g.Node].PostWrite(&g.Addr, payload, i, f.cq)
+	f.legs[i] = leg{g: g, post: post}
+	if d := post.Timeout(); d > 0 && f.tc == nil {
+		if f.timer == nil {
+			f.timer = time.NewTimer(d)
+		} else {
+			f.timer.Reset(d)
+		}
+		f.tc = f.timer.C
+	}
+}
+
+// run starts leg i on a goroutine of its own.
+func (f *fanout) run(i int) {
+	cuBlockingLegs.Inc()
+	go func() { f.cq <- transport.Completion{Tag: i, Err: f.block(i)} }()
+}
+
+// next collects one leg's final outcome. A posted leg's completion passes
+// the node's breaker and, failed before the deadline, re-runs the leg
+// blocking. When the deadline passes, every post still open is expired;
+// from then on a failed post is final.
+func (f *fanout) next() outcome {
+	for {
+		var c transport.Completion
+		select {
+		case c = <-f.cq:
+		case <-f.tc:
+			f.tc, f.expired = nil, true
+			for _, l := range f.legs {
+				if l.g != nil {
+					l.post.Expire()
+				}
+			}
+			continue
+		}
+		g := f.legs[c.Tag].g
+		if g == nil {
+			f.open--
+			return outcome{c.Tag, c.Err}
+		}
+		f.legs[c.Tag] = leg{}
+		err := f.p.nodes[g.Node].WriteDone(c, &g.Addr)
+		f.p.observe(g.Node, err)
+		if err != nil && !f.expired {
+			f.run(c.Tag)
+			continue
+		}
+		f.open--
+		return outcome{c.Tag, f.p.nodeErr(g.Node, err)}
+	}
+}
+
+// writeW collects a W-of-k write: each leg's outcome goes to fold on the
+// caller's goroutine until the acks — acked held already, plus each
+// success — reach w, or w is out of reach; then, below w, it returns
+// ErrWriteConcern wrapping the first failure. The legs still open are
+// stragglers for handOff.
+func (f *fanout) writeW(acked, w int, fold func(outcome)) error {
+	succ := acked
 	var firstErr error
-	for pending > 0 && succ+pending >= w && (succ < w || hold) {
-		o := <-res
-		pending--
+	for f.open > 0 && succ+f.open >= w && succ < w {
+		o := f.next()
 		if o.err == nil {
 			succ++
 		}
 		firstErr = cmp.Or(firstErr, o.err)
-		hold = fold(o)
+		fold(o)
 	}
-	return stragglers{res, pending}, errConcern(succ, w, n+acked, firstErr)
+	return errConcern(succ, w, len(f.legs)+acked, firstErr)
 }
 
 // handOff passes each straggler's outcome to late on one background
-// goroutine, then runs done. With no straggler it does nothing.
-func (s stragglers) handOff(late func(outcome), done func()) {
-	if s.n == 0 {
+// goroutine, then runs done; with no straggler it runs neither. The
+// fan-out is released once its last leg completed.
+func (f *fanout) handOff(late func(outcome), done func()) {
+	if f.open == 0 {
+		f.release()
 		return
 	}
 	go func() {
 		defer done()
-		for i := 0; i < s.n; i++ {
-			late(<-s.res)
+		for f.open > 0 {
+			late(f.next())
 		}
+		f.release()
 	}()
+}
+
+// release returns a fan-out whose every leg completed to the pool.
+func (f *fanout) release() {
+	if f.tc != nil && !f.timer.Stop() {
+		select {
+		case <-f.timer.C:
+		default:
+		}
+	}
+	f.p, f.block, f.tc = nil, nil, nil
+	fanoutPool.Put(f)
 }
 
 // errConcern is the verdict on a replicated write that gathered succ of
@@ -114,16 +211,14 @@ func errConcern(succ, w, k int, first error) error {
 
 // writeAckRetries bounds re-issues of a replica write across transport
 // reconnects. Plain writes are never auto-retried (a lost frame cannot
-// tell whether the server applied it), but every writeAck caller targets
-// a slot it owns exclusively — a fresh allocation, or a spare the KV's
-// reclaimer handed to exactly one Put after no index entry and no reader
-// could reference it — so re-issuing the same bytes is idempotent by
-// construction. This matters right after a node rejoins: the first write
-// on each pooled channel finds the old connection dead, and without the
-// retry it would spuriously fail the replica (or the repair) instead of
-// redialing. Spares are written with reissue off all the same: a
-// reconnect may reach a rebuilt store where their address is another
-// record's.
+// tell whether the server applied it), but a write into a fresh
+// allocation targets a slot nothing else references, so re-issuing the
+// same bytes is idempotent by construction. This matters right after a
+// node rejoins: the first write on each pooled channel finds the old
+// connection dead, and without the retry it would spuriously fail the
+// replica (or the repair) instead of redialing. Spares are written with
+// reissue off: a reconnect may reach a rebuilt store where their address
+// is another record's.
 const writeAckRetries = 2
 
 // mergeBackoff paces the re-issue of a write whose block a merge holds
@@ -136,7 +231,7 @@ const mergeBackoff = 100 * time.Microsecond
 // reissue, a transport fault or a merge re-issues the write.
 func (p *Pool) writeAck(g *GlobalAddr, payload []byte, reissue bool) error {
 	for attempt := 0; ; attempt++ {
-		err := p.on(g.Node, func(c *client.Ctx) error { return c.Write(&g.Addr, payload) })
+		err := p.Write(g, payload)
 		merging := errors.Is(err, core.ErrCompacting)
 		if err == nil || !reissue || attempt == writeAckRetries || !(merging || transport.IsRetryable(err)) {
 			return err
@@ -147,158 +242,19 @@ func (p *Pool) writeAck(g *GlobalAddr, payload []byte, reissue bool) error {
 	}
 }
 
-// AllocReplicated allocates k copies of a size on k distinct healthy
-// nodes, least-loaded first (so the primary lands where Alloc would have
-// placed a single copy). It fails — releasing any partial allocations —
-// when fewer than k nodes are reachable.
-func (p *Pool) AllocReplicated(size, k int) (*ReplicaSet, error) {
-	k = max(k, 1)
-	nodes, err := p.pickReplicaNodes(k)
-	if err != nil {
-		return nil, err
-	}
-	rs := &ReplicaSet{Reps: make([]GlobalAddr, len(nodes))}
-	errs := make([]error, len(nodes))
-	fanOut(groupByNode(len(nodes), func(i int) int { return nodes[i] }), func(node int, idxs []int) {
-		rs.Reps[idxs[0]], errs[idxs[0]] = p.AllocOn(node, size)
-	})
-	if err := cmp.Or(errs...); err != nil {
-		for i := range rs.Reps {
-			if !rs.Reps[i].Addr.IsZero() {
-				p.Free(&rs.Reps[i])
-			}
-		}
-		return nil, fmt.Errorf("cluster: replicated alloc (k=%d): %w", k, err)
-	}
-	return rs, nil
-}
-
-// pickReplicaNodes chooses k distinct nodes, skipping open breakers,
-// least-loaded first.
-func (p *Pool) pickReplicaNodes(k int) ([]int, error) {
-	type cand struct {
-		node int
-		load int64
-	}
-	p.mu.Lock()
-	cands := make([]cand, 0, len(p.nodes))
-	for i := range p.nodes {
-		if p.passable(i) {
-			cands = append(cands, cand{node: i, load: p.allocs[i]})
-		}
-	}
-	p.mu.Unlock()
-	if len(cands) < k {
-		return nil, fmt.Errorf("%w: %d of %d nodes healthy, need %d",
-			ErrNodeDown, len(cands), len(p.nodes), k)
-	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].load < cands[b].load })
-	nodes := make([]int, k)
-	for i := 0; i < k; i++ {
-		nodes[i] = cands[i].node
-	}
-	return nodes, nil
-}
-
-// WriteReplicated writes the payload to every replica in parallel and
-// returns once w replicas acknowledged (w<=0 or w>k means all), among them
-// the first replica in set order that did not fail: ReadReplicated serves
-// the first replica in set order that answers, so that one must not be a
-// write still in flight. Writes still in flight complete in the background
-// (their breaker outcomes are still observed; their pointer corrections
-// are dropped — the stale virtual address remains resolvable one-sidedly
-// via ScanRead). If w acks are unreachable, the first failure is returned
-// wrapped in ErrWriteConcern.
-func (p *Pool) WriteReplicated(rs *ReplicaSet, payload []byte, w int) error {
-	k := len(rs.Reps)
-	if k == 0 {
-		return errors.New("cluster: empty replica set")
-	}
-	if w <= 0 || w > k {
-		w = k
-	}
-	// Each write works on its own copy: stragglers must not touch the
-	// caller's set after WriteReplicated returns.
-	reps := slices.Clone(rs.Reps)
-	// first is the first replica in set order not known to have failed.
-	state := make([]int8, k) // 0 in flight, 1 acked, -1 failed
-	first := 0
-	_, err := writeW(k, 0, w, func(i int) error {
-		return p.writeAck(&reps[i], payload, true)
-	}, func(o outcome) bool {
-		state[o.i] = -1
-		if o.err == nil {
-			rs.Reps[o.i], state[o.i] = reps[o.i], 1 // fold the corrected pointer
-		}
-		for first < k-1 && state[first] < 0 {
-			first++
-		}
-		return state[first] == 0
-	})
-	return err
-}
-
-// ReadReplicated reads the object from the first replica that serves it,
-// walking the set in order past dead or missing replicas. It returns the
-// bytes read and the index of the replica that served (0 = primary). A
-// successful read past index 0 counts as a failover.
-func (p *Pool) ReadReplicated(rs *ReplicaSet, buf []byte) (n, replica int, err error) {
-	if len(rs.Reps) == 0 {
-		return 0, -1, errors.New("cluster: empty replica set")
-	}
-	start := time.Now()
-	var lastErr error
-	for i := range rs.Reps {
-		g := rs.Reps[i]
-		if g.Addr.IsZero() {
-			continue
-		}
-		n, err := p.SmartRead(&g, buf)
-		if err == nil {
-			rs.Reps[i] = g
-			if i > 0 {
-				cuFailovers.Inc()
-				cuFailoverNs.Observe(time.Since(start).Nanoseconds())
-			}
-			return n, i, nil
-		}
-		lastErr = err
-	}
-	if lastErr == nil {
-		lastErr = errors.New("cluster: all replicas unplaced")
-	}
-	return 0, -1, fmt.Errorf("%w: %d replicas: %w", ErrNoReplica, len(rs.Reps), lastErr)
-}
-
-// FreeReplicated releases every replica, best-effort: replicas already
-// gone (missing) or behind a down node don't fail the free — their
-// records died with the node's store.
-func (p *Pool) FreeReplicated(rs *ReplicaSet) error {
-	var firstErr error
-	for i := range rs.Reps {
-		if rs.Reps[i].Addr.IsZero() {
-			continue
-		}
-		g := rs.Reps[i]
-		if err := p.Free(&g); err != nil && firstErr == nil &&
-			!isMissing(err) && !errors.Is(err, ErrNodeDown) {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
 // Put stores value under key on its top-k rendezvous nodes (k=1: its
 // rendezvous node), writing each replica into a slot nothing else
 // references — a spare or a fresh allocation, never the old record in
-// place (DESIGN.md §12) — and acks after WriteConcern successes. Writes
-// still in flight at ack time finish in the background and fold their
-// outcome into the entry: a late success makes its replica live; a late
-// failure marks it stale and schedules its repair at once, since nothing
-// else notices the miss until a read trips over it or the replicator's
-// paced cycle finds it. If the entry moved on meanwhile, late slots are
-// retired. If fewer than W writes succeed, the Put fails, its slots are
-// retired, and the previous entry stays fully intact.
+// place (DESIGN.md §12) — and acks after WriteConcern successes. A spare's
+// write is posted from this goroutine; a fresh allocation, and the
+// fallback of a spare whose write failed, run on a goroutine of their own.
+// Writes still in flight at ack time finish in the background and fold
+// their outcome into the entry: a late success makes its replica live; a
+// late failure marks it stale and schedules its repair at once, since
+// nothing else notices the miss until a read trips over it or the
+// replicator's paced cycle finds it. If the entry moved on meanwhile, late
+// slots are retired. If fewer than W writes succeed, the Put fails, its
+// slots are retired, and the previous entry stays fully intact.
 func (kv *KV) Put(key string, value []byte) error {
 	nodes := kv.ReplicasFor(key)
 	version, class := kv.nextVersion(key, len(value))
@@ -307,18 +263,28 @@ func (kv *KV) Put(key string, value []byte) error {
 		cuReplicatedWrites.Inc()
 	}
 	e := &kvEntry{size: len(value), version: version, reps: make([]kvReplica, len(nodes))}
+	slots := make([]kvReplica, len(nodes)) // slot i: replica i's write, read after its outcome
+	f := kv.pool.newFanout(len(nodes), func(i int) (err error) {
+		kv.failed(&slots[i]) // a spare whose posted write failed
+		slots[i], err = kv.writeFresh(slots[i].addr.Node, rec)
+		return err
+	})
 	for i, node := range nodes {
 		e.reps[i] = kvReplica{addr: GlobalAddr{Node: node}, state: repPending}
+		slots[i] = kvReplica{addr: GlobalAddr{Node: node}, state: repStale}
+		var g *GlobalAddr // a spare is posted; a fresh allocation blocks
+		if r, ok := kv.spare(node, class, rec); ok {
+			slots[i], g = r, &slots[i].addr
+		}
+		f.start(i, g, rec)
 	}
-	slots := make([]kvReplica, len(nodes)) // slot i: replica i's write, read after its outcome
-	late, err := writeW(len(nodes), 0, kv.w, func(i int) (err error) {
-		slots[i], err = kv.writeReplica(nodes[i], class, rec)
-		return err
-	}, func(o outcome) bool {
+	err := f.writeW(0, kv.w, func(o outcome) {
+		if o.err != nil {
+			kv.failed(&slots[o.i])
+		}
 		e.reps[o.i] = slots[o.i]
-		return false
 	})
-	if late.n > 0 {
+	if f.open > 0 {
 		// Counted before the entry can be installed, so a Delete that
 		// empties the index waits for the stragglers' slots.
 		kv.rc.bg.Add(1)
@@ -330,7 +296,10 @@ func (kv *KV) Put(key string, value []byte) error {
 		// entry stays intact.
 		kv.rc.retire(liveRecords(e)...)
 	}
-	late.handOff(func(o outcome) {
+	f.handOff(func(o outcome) {
+		if o.err != nil {
+			kv.failed(&slots[o.i])
+		}
 		kv.mu.Lock()
 		current := kv.entries[key] == e // never, if e was not installed
 		if current {
@@ -391,38 +360,61 @@ func (kv *KV) install(key string, e *kvEntry, err error) (bool, error) {
 	return true, nil
 }
 
-// writeReplica writes rec into a slot on node: a spare of the given class
-// when the reclaimer holds one and it fits, else a fresh allocation. A
-// spare whose write fails goes back to the reclaimer (its slot still holds
-// its old record unless the write landed unacknowledged) and the replica
-// falls back to a fresh allocation. On failure it returns the replica
-// marked stale.
-func (kv *KV) writeReplica(node, class int, rec []byte) (kvReplica, error) {
-	tag := kv.tagOf(rec)
-	stale := kvReplica{addr: GlobalAddr{Node: node}, state: repStale}
-	if r, ok := kv.rc.take(node, class, len(rec)); ok {
-		var err error = core.ErrCompacting
-		if kv.rc.merging == nil || !kv.rc.merging(r.addr) {
-			err = kv.pool.writeAck(&r.addr, rec, false)
-		}
-		if err == nil {
-			r.state, r.tag = repLive, tag
-			return r, nil
-		}
-		kv.rc.retire(r)
+// failed turns *r, the slot of a replica write that failed, into the
+// stale replica, returning a spare it still held to the reclaimer.
+func (kv *KV) failed(r *kvReplica) {
+	if r.readable() {
+		kv.rc.retire(*r)
 	}
+	*r = kvReplica{addr: GlobalAddr{Node: r.addr.Node}, state: repStale}
+}
+
+// spare pops a spare slot of the class on node for rec, if the reclaimer
+// holds one and it fits, marked as holding rec once written. A spare whose
+// block a merge holds goes back.
+func (kv *KV) spare(node, class int, rec []byte) (kvReplica, bool) {
+	r, ok := kv.rc.take(node, class, len(rec))
+	if !ok {
+		return r, false
+	}
+	if kv.rc.merging != nil && kv.rc.merging(r.addr) {
+		kv.rc.retire(r)
+		return r, false
+	}
+	r.state, r.tag = repLive, kv.tagOf(rec)
+	return r, true
+}
+
+// writeFresh writes rec into a fresh allocation on node. On failure it
+// returns the replica marked stale, its allocation retired.
+func (kv *KV) writeFresh(node int, rec []byte) (kvReplica, error) {
+	stale := kvReplica{addr: GlobalAddr{Node: node}, state: repStale}
 	inc := kv.pool.incarnation(node)
 	g, err := kv.pool.AllocOn(node, len(rec))
 	if err != nil {
 		return stale, err
 	}
 	classSize, _ := kv.pool.ClassSize(g)
-	r := kvReplica{addr: g, classSize: classSize, state: repLive, inc: inc, tag: tag}
+	r := kvReplica{addr: g, classSize: classSize, state: repLive, inc: inc, tag: kv.tagOf(rec)}
 	if err := kv.pool.writeAck(&r.addr, rec, true); err != nil {
 		kv.rc.retire(r)
 		return stale, err
 	}
 	return r, nil
+}
+
+// writeReplica writes rec into a slot on node on the caller's goroutine: a
+// spare of the given class when there is one, else — or if the spare's
+// write fails — a fresh allocation. On failure it returns the replica
+// marked stale.
+func (kv *KV) writeReplica(node, class int, rec []byte) (kvReplica, error) {
+	if r, ok := kv.spare(node, class, rec); ok {
+		if kv.pool.writeAck(&r.addr, rec, false) == nil {
+			return r, nil
+		}
+		kv.rc.retire(r)
+	}
+	return kv.writeFresh(node, rec)
 }
 
 // tagOf reads the version tag heading an encoded record (0: untagged).

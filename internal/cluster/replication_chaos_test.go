@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"net"
 	"testing"
 	"time"
 )
@@ -155,9 +154,20 @@ func TestWriteConcernUnreachable(t *testing.T) {
 	if !errors.Is(lastErr, ErrWriteConcern) {
 		t.Fatalf("put with dead replica = %v, want ErrWriteConcern", lastErr)
 	}
+	if ne, ok := AsNodeError(lastErr); !ok || ne.Node != 1 {
+		t.Fatalf("write-concern error does not name the killed node 1: %v", lastErr)
+	}
 	got, ok, err := kv.Get("stable")
 	if err != nil || !ok || string(got) != "before" {
 		t.Fatalf("previous value not intact after failed put: %q %v %v", got, ok, err)
+	}
+	// Delete tolerates the dead replica once its breaker is open: its
+	// record died with the node.
+	if !pool.NodeDown(1) {
+		t.Fatal("breaker did not open")
+	}
+	if err := kv.Delete("stable"); err != nil {
+		t.Fatalf("delete with a dead replica: %v", err)
 	}
 }
 
@@ -395,25 +405,10 @@ func TestProbeTimeoutBoundsHungNode(t *testing.T) {
 
 	const victim = 0
 	c.Node(victim).Kill()
-	// A black hole on the victim's address: accepts and swallows, so the
-	// client's redial succeeds but every call hangs.
-	ln, err := net.Listen("tcp", c.Node(victim).Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-		}
-	}()
+	blackHole(t, c.Node(victim).Addr())
 
 	start := time.Now()
-	err = pool.ProbeNode(victim)
+	err := pool.ProbeNode(victim)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrProbeTimeout) {
 		t.Fatalf("probe of hung node = %v, want ErrProbeTimeout", err)

@@ -99,14 +99,23 @@ func (w *shmWire) send(seq uint64, body []byte, owned bool) error {
 }
 func (w *shmWire) close() error { w.ep.close(); return nil }
 
-// callResult is what the demux reader (or the failure path) delivers to a
-// waiting caller: a view of the response body backed by a receive-buffer
-// lease. The waiter releases the lease once decoded (or hands it up to
-// callers that want zero-copy views).
-type callResult struct {
+// Completion is the one delivery of a call: a view of the response body
+// backed by a receive-buffer lease, or the transport failure that ended
+// the call, under the tag its poster chose. The demux reader (or the
+// failure path) delivers it; the receiver releases the lease once decoded
+// (or hands it up to callers that want zero-copy views).
+type Completion struct {
+	Tag   int
+	Err   error
 	lease *Lease
 	body  []byte
-	err   error
+}
+
+// pendingCall is one call awaiting its completion: where to deliver it and
+// under which tag. A blocking call and a posted call are the same entry.
+type pendingCall struct {
+	done chan<- Completion
+	tag  int
 }
 
 // channel is one multiplexed framed stream to the server. Many calls may be
@@ -124,14 +133,14 @@ type channel struct {
 	broken  bool
 	closed  bool
 	seq     uint64
-	pending map[uint64]chan callResult
+	pending map[uint64]pendingCall
 }
 
 // failPendingLocked delivers err to every pending call. Caller holds ch.mu.
 func (ch *channel) failPendingLocked(err error) {
-	for seq, done := range ch.pending {
+	for seq, pc := range ch.pending {
 		delete(ch.pending, seq)
-		done <- callResult{err: err}
+		pc.done <- Completion{Tag: pc.tag, Err: err}
 	}
 }
 
@@ -199,7 +208,7 @@ func (c *Conn) attach(ch *channel, w wire) {
 func (c *Conn) attachLocked(ch *channel, w wire) {
 	ch.w = w
 	ch.broken = false
-	ch.pending = make(map[uint64]chan callResult)
+	ch.pending = make(map[uint64]pendingCall)
 	switch tw := w.(type) {
 	case *tcpWire:
 		go c.readLoopTCP(ch, tw)
@@ -330,7 +339,7 @@ func (c *Conn) deliver(ch *channel, w wire, seq uint64, lease *Lease, body []byt
 		lease.Release()
 		return true, false
 	}
-	done, ok := ch.pending[seq]
+	pc, ok := ch.pending[seq]
 	if ok {
 		delete(ch.pending, seq)
 	}
@@ -339,7 +348,7 @@ func (c *Conn) deliver(ch *channel, w wire, seq uint64, lease *Lease, body []byt
 		lease.Release()
 		return false, false
 	}
-	done <- callResult{lease: lease, body: body}
+	pc.done <- Completion{Tag: pc.tag, lease: lease, body: body}
 	return false, true
 }
 
@@ -421,31 +430,67 @@ func putTimer(t *time.Timer) {
 	timerPool.Put(t)
 }
 
-// donePool recycles the one-shot result channels of roundTrip. A pending
-// entry receives exactly one send (from the demux reader or the failure
-// path — both remove it from the map first) and roundTrip always performs
-// the matching receive, so a channel leaving roundTrip is provably empty
-// and safe to reuse.
-var donePool = sync.Pool{New: func() any { return make(chan callResult, 1) }}
+// donePool recycles the one-shot completion channels of roundTrip. A
+// pending entry receives exactly one send (from the demux reader or the
+// failure path — both remove it from the map first) and roundTrip always
+// performs the matching receive, so a channel leaving roundTrip is
+// provably empty and safe to reuse.
+var donePool = sync.Pool{New: func() any { return make(chan Completion, 1) }}
 
-// roundTrip performs one multiplexed exchange: register a pending call,
-// enqueue the request frame (ownership of an owned frame-pool body passes
-// to the wire), wait for the demux reader to deliver the response. The
-// returned body aliases the returned lease — decode or copy, then Release.
-// Transport faults (including timeout) poison the channel and fail all its
-// pending calls.
-func (c *Conn) roundTrip(ch *channel, body []byte, owned bool) (*Lease, []byte, error) {
-	done := donePool.Get().(chan callResult)
-	defer donePool.Put(done)
+// Posted names one posted call, so that its poster can expire it.
+type Posted struct {
+	c   *Conn
+	ch  *channel
+	w   wire
+	seq uint64
+}
+
+// Timeout reports the CallTimeout of the call's connection: how long it
+// may stay open before its poster expires it (0: never, or already
+// complete at post).
+func (p Posted) Timeout() time.Duration {
+	if p.ch == nil {
+		return 0
+	}
+	return max(p.c.opts.CallTimeout, 0)
+}
+
+// Expire ends the call if it is still open, exactly as a blocking call's
+// own timeout does: a response on its channel can no longer be matched to
+// a waiter reliably, so the channel breaks, every call pending on it
+// completes with ErrConnBroken (this one included), and the next use
+// re-dials. A call already complete, or a zero Posted, is left alone.
+func (p Posted) Expire() {
+	if p.ch == nil {
+		return
+	}
+	p.ch.mu.Lock()
+	_, open := p.ch.pending[p.seq]
+	p.ch.mu.Unlock()
+	if open {
+		mCallTimeouts.Inc()
+		p.c.failChannel(p.ch, p.w, "timeout", errCallTimeout{p.c.opts.CallTimeout})
+	}
+}
+
+// post starts one multiplexed exchange: register a pending call that
+// reports into done under tag, then enqueue the request frame (ownership
+// of an owned frame-pool body passes to the wire). Every post completes on
+// done exactly once — a channel that cannot be repaired completes it at
+// once with the error — so done must have room for every completion its
+// receiver may leave uncollected. Transport faults poison the channel and
+// fail all its pending calls.
+func (c *Conn) post(ch *channel, body []byte, owned bool, tag int, done chan<- Completion) Posted {
 	ch.mu.Lock()
 	if err := c.ensureLocked(ch); err != nil {
 		ch.mu.Unlock()
-		return nil, nil, err
+		done <- Completion{Tag: tag, Err: err}
+		return Posted{}
 	}
 	w := ch.w
 	ch.seq++
 	seq := ch.seq
-	ch.pending[seq] = done
+	ch.pending[seq] = pendingCall{done: done, tag: tag}
 	ch.mu.Unlock()
 
 	if werr := w.send(seq, body, owned); werr != nil {
@@ -455,23 +500,36 @@ func (c *Conn) roundTrip(ch *channel, body []byte, owned bool) (*Lease, []byte, 
 		// frameWriter's onErr hook.)
 		c.failChannel(ch, w, "write", werr)
 	}
+	return Posted{c: c, ch: ch, w: w, seq: seq}
+}
 
-	if c.opts.CallTimeout <= 0 {
-		r := <-done
-		return r.lease, r.body, r.err
+// wait receives p's completion from done, expiring p once it has been
+// open for CallTimeout.
+func (c *Conn) wait(p Posted, done <-chan Completion) Completion {
+	d := p.Timeout()
+	if d == 0 {
+		return <-done
 	}
-	t := getTimer(c.opts.CallTimeout)
+	t := getTimer(d)
 	select {
 	case r := <-done:
 		putTimer(t)
-		return r.lease, r.body, r.err
+		return r
 	case <-t.C:
 		timerPool.Put(t) // already fired and drained
-		mCallTimeouts.Inc()
-		c.failChannel(ch, w, "timeout", errCallTimeout{c.opts.CallTimeout})
-		r := <-done // failChannel (ours or a concurrent one) delivered
-		return r.lease, r.body, r.err
+		p.Expire()
+		return <-done // the expiry (or a concurrent completion) delivered
 	}
+}
+
+// roundTrip performs one blocking exchange: post the frame, wait for its
+// completion. The completion's body aliases its lease — decode or copy,
+// then Release.
+func (c *Conn) roundTrip(ch *channel, body []byte, owned bool) Completion {
+	done := donePool.Get().(chan Completion)
+	r := c.wait(c.post(ch, body, owned, 0, done), done)
+	donePool.Put(done)
+	return r
 }
 
 // marshalCall encodes a request into a frame-pool buffer, enforcing the
@@ -514,21 +572,37 @@ func (c *Conn) CallLease(req rpc.Request) (rpc.Response, *Lease, error) {
 	if err != nil {
 		return rpc.Response{}, nil, err
 	}
-	lease, frame, err := c.roundTrip(&c.rpc, body, true)
+	return c.Response(c.roundTrip(&c.rpc, body, true))
+}
+
+// PostCall posts one RPC from the caller's goroutine without waiting for
+// it: its completion arrives on done under tag (done must have room for
+// it), and Response decodes it. A request too large for one frame
+// completes at once with ErrFrameTooLarge. The caller expires the call
+// through the returned Posted once it has been open for Timeout; nothing
+// else does.
+func (c *Conn) PostCall(req rpc.Request, tag int, done chan<- Completion) Posted {
+	body, err := marshalCall(req)
 	if err != nil {
-		return rpc.Response{}, nil, err
+		done <- Completion{Tag: tag, Err: err}
+		return Posted{}
 	}
-	resp, err := rpc.UnmarshalResponseView(frame)
+	return c.post(&c.rpc, body, true, tag, done)
+}
+
+// Response decodes an RPC call's completion into the response, whose
+// Payload aliases the returned lease. A frame that does not decode means
+// the stream is corrupt: the channel that delivered it breaks.
+func (c *Conn) Response(r Completion) (rpc.Response, *Lease, error) {
+	if r.Err != nil {
+		return rpc.Response{}, nil, r.Err
+	}
+	resp, err := rpc.UnmarshalResponseView(r.body)
 	if err != nil {
-		lease.Release()
-		// A frame that does not decode means the stream is corrupt; the
-		// channel cannot be trusted any further.
-		c.rpc.mu.Lock()
-		w := c.rpc.w
-		c.rpc.mu.Unlock()
-		return rpc.Response{}, nil, c.failChannel(&c.rpc, w, "decode", err)
+		r.lease.Release()
+		return rpc.Response{}, nil, c.failDecode(&c.rpc, err)
 	}
-	return resp, lease, nil
+	return resp, r.lease, nil
 }
 
 // DirectRead performs an emulated one-sided read of len(buf) bytes at the
@@ -561,13 +635,14 @@ func (c *Conn) DirectReadLease(rkey uint32, vaddr uint64, n int) (*Lease, []byte
 	binary.LittleEndian.PutUint32(req[0:], rkey)
 	binary.LittleEndian.PutUint64(req[4:], vaddr)
 	binary.LittleEndian.PutUint32(req[12:], uint32(n))
-	lease, frame, err := c.roundTrip(&c.dma, req, true)
-	if err != nil {
-		return nil, nil, err
+	r := c.roundTrip(&c.dma, req, true)
+	if r.Err != nil {
+		return nil, nil, r.Err
 	}
+	lease, frame := r.lease, r.body
 	if len(frame) < 1 {
 		lease.Release()
-		return nil, nil, c.failDMADecode(fmt.Errorf("empty DMA response"))
+		return nil, nil, c.failDecode(&c.dma, fmt.Errorf("empty DMA response"))
 	}
 	status := frame[0]
 	switch status {
@@ -575,7 +650,7 @@ func (c *Conn) DirectReadLease(rkey uint32, vaddr uint64, n int) (*Lease, []byte
 		if len(frame)-1 != n {
 			// A short payload means we are reading someone else's frame.
 			lease.Release()
-			return nil, nil, c.failDMADecode(fmt.Errorf("DMA short read (%d of %d)", len(frame)-1, n))
+			return nil, nil, c.failDecode(&c.dma, fmt.Errorf("DMA short read (%d of %d)", len(frame)-1, n))
 		}
 		return lease, frame[1:], nil
 	case dmaBadKey:
@@ -589,15 +664,15 @@ func (c *Conn) DirectReadLease(rkey uint32, vaddr uint64, n int) (*Lease, []byte
 		return nil, nil, ErrDMABounds
 	}
 	lease.Release()
-	return nil, nil, c.failDMADecode(fmt.Errorf("DMA error %d", status))
+	return nil, nil, c.failDecode(&c.dma, fmt.Errorf("DMA error %d", status))
 }
 
-// failDMADecode poisons the DMA channel after an undecodable response.
-func (c *Conn) failDMADecode(cause error) error {
-	c.dma.mu.Lock()
-	w := c.dma.w
-	c.dma.mu.Unlock()
-	return c.failChannel(&c.dma, w, "decode", cause)
+// failDecode poisons a channel after an undecodable response.
+func (c *Conn) failDecode(ch *channel, cause error) error {
+	ch.mu.Lock()
+	w := ch.w
+	ch.mu.Unlock()
+	return c.failChannel(ch, w, "decode", cause)
 }
 
 // ReconnectDMA re-establishes the one-sided channel after a QP break,
