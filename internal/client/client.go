@@ -49,11 +49,14 @@ type dmaReconnector interface {
 // poster is the optional Backend facet that posts a call instead of
 // blocking on it: the request leaves from the caller's goroutine and its
 // completion arrives later, on a channel of the caller's choosing
-// (transport.Conn implements it). A backend without it runs a posted call
-// on a goroutine of its own.
+// (transport.Conn implements it). A post never dials; Connected reports
+// whether it can go out now. A backend without it runs a posted call on a
+// goroutine of its own.
 type poster interface {
 	PostCall(req rpc.Request, tag int, done chan<- transport.Completion) transport.Posted
 	Response(r transport.Completion) (rpc.Response, *transport.Lease, error)
+	Connected() bool
+	CallTimeout() time.Duration
 }
 
 // Ctx is a client context bound to one CoRM node.
@@ -321,16 +324,35 @@ func (c *Ctx) Write(addr *core.Addr, payload []byte) error {
 // PostWrite posts a Write of payload to *addr from the caller's goroutine
 // and returns without waiting: its completion arrives on done under tag
 // (done must have room for it), and WriteDone finishes it. Like Write it is
-// never re-issued. The caller expires the write through the returned
-// Posted once it has been open for its Timeout. With a backend that cannot
-// post, the Write runs on a goroutine of its own, which corrects *addr
-// before it completes; its Posted is zero.
+// never re-issued, and it never dials: where CanPost reports false it
+// completes at once with a transport error. The caller expires the write
+// through the returned Posted once it has been open for PostTimeout. With
+// a backend that cannot post, the Write runs on a goroutine of its own,
+// which corrects *addr before it completes; its Posted is zero.
 func (c *Ctx) PostWrite(addr *core.Addr, payload []byte, tag int, done chan<- transport.Completion) transport.Posted {
 	if p, ok := c.backend.(poster); ok {
 		return p.PostCall(rpc.Request{Op: rpc.OpWrite, Addr: *addr, Payload: payload}, tag, done)
 	}
 	go func() { done <- transport.Completion{Tag: tag, Err: c.Write(addr, payload)} }()
 	return transport.Posted{}
+}
+
+// CanPost reports whether PostWrite can send now without a dial: true
+// unless the backend posts and its connection has no live wire, which
+// only a blocking call re-dials.
+func (c *Ctx) CanPost() bool {
+	p, ok := c.backend.(poster)
+	return !ok || p.Connected()
+}
+
+// PostTimeout reports how long a posted Write may stay open before its
+// poster expires it (0: never; a backend that cannot post bounds its own
+// calls).
+func (c *Ctx) PostTimeout() time.Duration {
+	if p, ok := c.backend.(poster); ok {
+		return p.CallTimeout()
+	}
+	return 0
 }
 
 // WriteDone is a posted Write's completion step: it decodes the reply

@@ -63,7 +63,8 @@ type Pool struct {
 	onRecover func(node int) // invoked (outside mu) when a breaker closes
 	// incs numbers each node's incarnations: a breaker trip or a node
 	// suspicion starts a new one (the node may be a rebuilt store).
-	incs []atomic.Uint64
+	incs        []atomic.Uint64
+	postTimeout time.Duration // a posted write's deadline: the nodes' largest PostTimeout
 }
 
 // Dial connects to every node address.
@@ -94,7 +95,7 @@ func NewFromClients(ctxs []*client.Ctx) *Pool {
 
 func newPool(ctxs []*client.Ctx, labels []string) *Pool {
 	n := len(ctxs)
-	return &Pool{
+	p := &Pool{
 		FailThreshold: DefaultFailThreshold,
 		ProbeCooldown: DefaultProbeCooldown,
 		ProbeJitter:   DefaultProbeJitter,
@@ -105,6 +106,10 @@ func newPool(ctxs []*client.Ctx, labels []string) *Pool {
 		health:        make([]nodeHealth, n),
 		incs:          make([]atomic.Uint64, n),
 	}
+	for _, c := range ctxs {
+		p.postTimeout = max(p.postTimeout, c.PostTimeout())
+	}
+	return p
 }
 
 // incarnation reports the node's current incarnation number.

@@ -7,9 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"corm/internal/core"
 	"corm/internal/metrics"
 )
 
@@ -80,83 +83,197 @@ func TestPutPostsSpareWrites(t *testing.T) {
 	}
 }
 
-// blackHole serves addr with a listener that accepts connections and
-// never answers: a hung node, not a dead one. Redials succeed; calls hang.
-func blackHole(t *testing.T, addr string) {
+// wireControl is a HarnessOptions.Dialer that fails one node's wire the
+// ways a network does: hang its connections (writes vanish and nothing
+// comes back, but the sockets stay up), cut them, or hold its dials until
+// released.
+type wireControl struct {
+	mu    sync.Mutex
+	conns map[string][]net.Conn
+	hung  map[string]bool
+	held  map[string]chan struct{}
+}
+
+func newWireControl() *wireControl {
+	return &wireControl{conns: map[string][]net.Conn{}, hung: map[string]bool{}, held: map[string]chan struct{}{}}
+}
+
+// controlledConn is one dialed connection under a wireControl.
+type controlledConn struct {
+	net.Conn
+	wc   *wireControl
+	addr string
+}
+
+func (c *controlledConn) Write(b []byte) (int, error) {
+	c.wc.mu.Lock()
+	hung := c.wc.hung[c.addr]
+	c.wc.mu.Unlock()
+	if hung {
+		return len(b), nil
+	}
+	return c.Conn.Write(b)
+}
+
+// Dial dials addr once its dials are no longer held.
+func (wc *wireControl) Dial(network, addr string) (net.Conn, error) {
+	wc.mu.Lock()
+	held := wc.held[addr]
+	wc.mu.Unlock()
+	if held != nil {
+		<-held
+	}
+	nc, err := net.Dial(network, addr)
+	if err != nil {
+		return nil, err
+	}
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	wc.conns[addr] = append(wc.conns[addr], nc)
+	return &controlledConn{Conn: nc, wc: wc, addr: addr}, nil
+}
+
+// hang makes every write to addr vanish from now on.
+func (wc *wireControl) hang(addr string) {
+	wc.mu.Lock()
+	wc.hung[addr] = true
+	wc.mu.Unlock()
+}
+
+// cut closes every connection dialed to addr so far.
+func (wc *wireControl) cut(addr string) {
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	for _, nc := range wc.conns[addr] {
+		nc.Close()
+	}
+}
+
+// hold makes dials to addr wait until release, which t's cleanup also runs.
+func (wc *wireControl) hold(t *testing.T, addr string) (release func()) {
+	ch := make(chan struct{})
+	wc.mu.Lock()
+	wc.held[addr] = ch
+	wc.mu.Unlock()
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			wc.mu.Lock()
+			delete(wc.held, addr)
+			wc.mu.Unlock()
+			close(ch)
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// spinControlled is spinLocal over TCP wires that a wireControl dials.
+func spinControlled(t *testing.T, n int) (*LocalCluster, *wireControl) {
 	t.Helper()
-	ln, err := net.Listen("tcp", addr)
+	wc := newWireControl()
+	c, err := SpinLocalOptions(n, 1, HarnessOptions{Dialer: wc.Dial})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		var conns []net.Conn
-		defer func() {
-			for _, c := range conns {
-				c.Close()
-			}
-		}()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			conns = append(conns, conn)
-		}
-	}()
+	t.Cleanup(c.Close)
+	return c, wc
 }
 
-// TestPutPostedWriteExpiresOnHungReplica: a replica that accepts its
-// posted write and never answers holds it open until the fan-out deadline,
-// the connections' CallTimeout (2 s in the harness). At W=3 the Put fails
-// at that deadline with ErrWriteConcern naming the hung node. At W=2 it
-// acks without the replica, and the deadline expires the straggler in the
-// background: the replica is marked stale, the node's breaker counts the
-// failure, and the KV's background count returns to 0.
-func TestPutPostedWriteExpiresOnHungReplica(t *testing.T) {
-	const callTimeout = 2 * time.Second
-	c := spinLocal(t, 3)
-	pool := c.Pool()
-	pool.ProbeCooldown = time.Hour
-	kv3 := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 3})
-	kv2 := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 2})
+// stockSpares runs two Puts of "k" through each KV, so that every replica
+// holds a spare for the next one, and waits out their stragglers.
+func stockSpares(t *testing.T, kvs ...*KV) {
+	t.Helper()
 	for i := 0; i < 2; i++ { // the second Put stocks the first one's records as spares
-		for _, kv := range []*KV{kv3, kv2} {
+		for _, kv := range kvs {
 			if err := kv.Put("k", []byte(fmt.Sprintf("v%d", i))); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	// The W=2 warm-up's stragglers must land (and their slots be stocked)
-	// before the node hangs.
-	for deadline := time.Now().Add(5 * time.Second); kv2.rc.bg.Load() != 0; time.Sleep(time.Millisecond) {
+	for _, kv := range kvs {
+		waitFor(t, 5*time.Second, "warm-up stragglers to finish", func() bool { return kv.rc.bg.Load() == 0 })
+	}
+}
+
+// waitFor polls cond every millisecond until it holds, failing t after d.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("warm-up stragglers never finished")
+			t.Fatalf("timed out after %v waiting for %s", d, what)
 		}
 	}
+}
+
+// putWithin runs kv.Put("k", v) and fails t unless it returns within d.
+func putWithin(t *testing.T, kv *KV, v string, d time.Duration) (time.Duration, error) {
+	t.Helper()
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- kv.Put("k", []byte(v)) }()
+	select {
+	case err := <-done:
+		return time.Since(start), err
+	case <-time.After(d):
+		t.Fatalf("Put did not return within %v", d)
+		return 0, nil
+	}
+}
+
+// replicaState reports the state of kv's entry for "k" on node.
+func replicaState(kv *KV, node int) uint8 {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	for _, r := range kv.entries["k"].reps {
+		if r.addr.Node == node {
+			return r.state
+		}
+	}
+	return repStale
+}
+
+// TestPutPostedWriteExpiresOnHungReplica: a replica whose connection stays
+// up but never answers holds a posted write open until the fan-out
+// deadline, the connections' CallTimeout (2 s in the harness). At W=2 the
+// Put acks without the replica, and the deadline expires the straggler in
+// the background: the replica is marked stale, the node's breaker counts
+// the failure, and the KV's background count returns to 0. The expiry
+// broke the channel, so a W=3 Put's write there runs as a blocking leg,
+// whose redial reaches the hung node again: the Put fails after about
+// CallTimeout with ErrWriteConcern naming the hung node.
+func TestPutPostedWriteExpiresOnHungReplica(t *testing.T) {
+	const callTimeout = 2 * time.Second
+	c, wc := spinControlled(t, 3)
+	pool := c.Pool()
+	pool.ProbeCooldown = time.Hour
+	kv3 := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 3})
+	kv2 := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 2})
+	stockSpares(t, kv3, kv2)
 	const victim = 2
-	c.Node(victim).Kill()
-	blackHole(t, c.Node(victim).Addr())
+	wc.hang(c.Node(victim).Addr())
 	fails := func() int {
 		pool.mu.Lock()
 		defer pool.mu.Unlock()
 		return pool.health[victim].consecFails
 	}
 
-	put := func(kv *KV) (error, time.Duration) {
-		start := time.Now()
-		done := make(chan error, 1)
-		go func() { done <- kv.Put("k", []byte("v2")) }()
-		select {
-		case err := <-done:
-			return err, time.Since(start)
-		case <-time.After(callTimeout + 2*time.Second):
-			t.Fatal("Put against a hung replica never returned: no fan-out deadline")
-			return nil, 0
-		}
+	before, b0 := fails(), cuBlockingLegs.Value()
+	took, err := putWithin(t, kv2, "v2", callTimeout+2*time.Second)
+	if err != nil {
+		t.Fatalf("W=2 Put with one hung replica: %v", err)
 	}
+	if took > callTimeout/2 {
+		t.Fatalf("W=2 Put took %v: it waited for the hung replica", took)
+	}
+	if d := cuBlockingLegs.Value() - b0; d != 0 {
+		t.Fatalf("the W=2 Put ran %d blocking legs, want its spare writes posted", d)
+	}
+	waitFor(t, callTimeout+time.Second-took, "the fan-out deadline to expire the straggler", func() bool {
+		return kv2.rc.bg.Load() == 0 && replicaState(kv2, victim) == repStale && fails() > before
+	})
 
-	err, took := put(kv3)
+	took, err = putWithin(t, kv3, "v2", 2*callTimeout+2*time.Second)
 	if !errors.Is(err, ErrWriteConcern) {
 		t.Fatalf("W=3 Put with a hung replica = %v, want ErrWriteConcern", err)
 	}
@@ -164,40 +281,147 @@ func TestPutPostedWriteExpiresOnHungReplica(t *testing.T) {
 		t.Fatalf("write-concern error does not name the hung node %d: %v", victim, err)
 	}
 	if took < callTimeout/2 || took > callTimeout+time.Second {
-		t.Fatalf("W=3 Put failed after %v, want about the %v deadline", took, callTimeout)
+		t.Fatalf("W=3 Put failed after %v, want about the %v call timeout", took, callTimeout)
 	}
+}
 
-	// The channel to the hung node is broken by now, so this Put posts
-	// its write there and only the deadline ends it: no leg re-runs.
-	before, b0 := fails(), cuBlockingLegs.Value()
-	start := time.Now()
-	err, took = put(kv2)
+// TestPutAcksPastHeldRedial: a replica whose connection broke and whose
+// redial hangs holds up only its own write. The Put never dials: that
+// replica's write runs as a blocking leg, whose redial waits on its own
+// goroutine while a W=2 Put acks on the other two. Once the dial goes
+// through, the straggler lands: the replica turns live and the breaker
+// has counted nothing.
+func TestPutAcksPastHeldRedial(t *testing.T) {
+	c, wc := spinControlled(t, 3)
+	pool := c.Pool()
+	kv := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 2})
+	stockSpares(t, kv)
+	const victim = 1
+	addr := c.Node(victim).Addr()
+	release := wc.hold(t, addr)
+	wc.cut(addr)
+	waitFor(t, 5*time.Second, "the cut to break the channel", func() bool { return !pool.nodes[victim].CanPost() })
+
+	b0 := cuBlockingLegs.Value()
+	took, err := putWithin(t, kv, "v2", time.Second)
 	if err != nil {
-		t.Fatalf("W=2 Put with one hung replica: %v", err)
+		t.Fatalf("W=2 Put past a held redial: %v", err)
 	}
-	if took > callTimeout/2 {
-		t.Fatalf("W=2 Put took %v: it waited for the hung replica", took)
+	if d := cuBlockingLegs.Value() - b0; d != 1 {
+		t.Fatalf("the Put ran %d blocking legs, want 1 (the held replica's)", d)
 	}
-	stale := func() bool {
-		kv2.mu.Lock()
-		defer kv2.mu.Unlock()
-		for _, r := range kv2.entries["k"].reps {
-			if r.addr.Node == victim {
-				return r.state == repStale
+	if n := kv.rc.bg.Load(); n != 1 || replicaState(kv, victim) != repPending {
+		t.Fatalf("after the ack (%v): %d stragglers, replica state %v; want the held one pending", took, n, replicaState(kv, victim))
+	}
+	release()
+	waitFor(t, 5*time.Second, "the straggler to land", func() bool {
+		return kv.rc.bg.Load() == 0 && replicaState(kv, victim) == repLive
+	})
+	pool.mu.Lock()
+	fails := pool.health[victim].consecFails
+	pool.mu.Unlock()
+	if fails != 0 {
+		t.Fatalf("breaker counted %d failures for a redial that went through", fails)
+	}
+	if got, ok, err := kv.Get("k"); err != nil || !ok || string(got) != "v2" {
+		t.Fatalf("Get after the straggler: %q %v %v", got, ok, err)
+	}
+}
+
+// TestPutPostedWriteAdoptsCorrection: a posted write into a spare whose
+// block compaction merged comes back with the server's pointer correction,
+// and the entry records the corrected address, not the spare's old one.
+func TestPutPostedWriteAdoptsCorrection(t *testing.T) {
+	c := spinLocal(t, 3)
+	pool := c.Pool()
+	kv := NewReplicatedKV(pool, ReplicationConfig{Replicas: 3, WriteConcern: 3})
+	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
+	value := func(round, i int) []byte { return []byte(fmt.Sprintf("v%d-%02d", round, i)) }
+	size := len(kv.encodeRecord(0, value(0, 0)))
+	// Round 0's records sit among fillers of their class, so that once
+	// round 1 stocks them as spares and the fillers go, their blocks are
+	// sparse enough for compaction to merge.
+	var fillers []GlobalAddr
+	for i := 0; i < spareCap; i++ {
+		if err := kv.Put(key(i), value(0, i)); err != nil {
+			t.Fatal(err)
+		}
+		for node := 0; node < c.Nodes(); node++ {
+			for j := 0; j < 7; j++ {
+				g, err := pool.AllocOn(node, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fillers = append(fillers, g)
 			}
 		}
-		return false
 	}
-	for kv2.rc.bg.Load() != 0 || !stale() || fails() <= before {
-		if time.Since(start) > callTimeout+time.Second {
-			t.Fatalf("straggler not expired %v after the Put: bg=%d stale=%v breaker fails %d -> %d",
-				time.Since(start), kv2.rc.bg.Load(), stale(), before, fails())
+	for i := 0; i < spareCap; i++ {
+		if err := kv.Put(key(i), value(1, i)); err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(time.Millisecond)
+	}
+	for i := range fillers {
+		if err := pool.Free(&fillers[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	moved := 0
+	for i := 0; i < c.Nodes(); i++ {
+		s := c.Node(i).Store()
+		for class := range s.Allocator().Config().Classes {
+			moved += s.CompactClass(core.CompactOptions{Class: class, Leader: 0, MaxOccupancy: core.Occ(1.0)}).ObjectsMoved
+		}
+	}
+	if moved == 0 {
+		t.Fatal("compaction moved nothing: the test exercised nothing")
+	}
+	type slot struct {
+		node  int
+		vaddr uint64
+	}
+	spares := map[slot]bool{}
+	kv.rc.mu.Lock()
+	for _, stack := range kv.rc.spares {
+		for _, r := range stack {
+			spares[slot{r.addr.Node, r.addr.Addr.VAddr()}] = true
+		}
+	}
+	kv.rc.mu.Unlock()
+
+	b0 := cuBlockingLegs.Value()
+	for i := 0; i < spareCap; i++ {
+		if err := kv.Put(key(i), value(2, i)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if d := cuBlockingLegs.Value() - b0; d != 0 {
-		t.Fatalf("the W=2 Put ran %d blocking legs, want its spare writes posted", d)
+		t.Fatalf("round 2 ran %d blocking legs, want every write posted into a spare", d)
 	}
+	corrected := 0
+	buf := make([]byte, 64)
+	for i := 0; i < spareCap; i++ {
+		kv.mu.Lock()
+		reps := slices.Clone(kv.entries[key(i)].reps)
+		kv.mu.Unlock()
+		for _, r := range reps {
+			if !spares[slot{r.addr.Node, r.addr.Addr.VAddr()}] {
+				corrected++
+			}
+			// A read through a copy folds in any correction still due.
+			g := r.addr
+			if _, err := pool.Read(&g, buf); err != nil {
+				t.Fatal(err)
+			}
+			if g.Addr.VAddr() != r.addr.Addr.VAddr() {
+				t.Fatalf("key %d replica on node %d: entry holds %v, the server corrects it to %v", i, r.addr.Node, r.addr, g)
+			}
+		}
+	}
+	if corrected == 0 {
+		t.Fatal("no posted write met a moved spare: the test exercised nothing")
+	}
+	t.Logf("compaction moved %d objects; %d of %d posted writes came back corrected", moved, corrected, 3*spareCap)
 }
 
 // TestMultiPutReplicated: the batched put path at k>1 — fan-out per

@@ -43,7 +43,7 @@ type outcome struct {
 // A leg is one replica's write in a W-of-k write. A posted leg went out
 // from the caller's goroutine: g is its target, corrected on completion,
 // and the fan-out deadline expires it. A blocking leg (g nil) runs on a
-// goroutine of its own, whose calls carry their own timeouts.
+// goroutine of its own, whose calls dial and carry their own timeouts.
 type leg struct {
 	g    *GlobalAddr
 	post transport.Posted
@@ -82,11 +82,11 @@ func (p *Pool) newFanout(n int, block func(i int) error) *fanout {
 
 // start launches leg i: with g, the write of payload to *g, posted from
 // the caller's goroutine through the node's breaker (an open breaker fails
-// it at once); without, a blocking leg.
+// it at once); without g, or while g's node awaits a redial, a blocking leg.
 func (f *fanout) start(i int, g *GlobalAddr, payload []byte) {
 	f.open++
 	f.legs[i] = leg{}
-	if g == nil {
+	if g == nil || !f.p.nodes[g.Node].CanPost() {
 		f.run(i)
 		return
 	}
@@ -94,9 +94,8 @@ func (f *fanout) start(i int, g *GlobalAddr, payload []byte) {
 		f.cq <- transport.Completion{Tag: i, Err: err}
 		return
 	}
-	post := f.p.nodes[g.Node].PostWrite(&g.Addr, payload, i, f.cq)
-	f.legs[i] = leg{g: g, post: post}
-	if d := post.Timeout(); d > 0 && f.tc == nil {
+	f.legs[i] = leg{g: g, post: f.p.nodes[g.Node].PostWrite(&g.Addr, payload, i, f.cq)}
+	if d := f.p.postTimeout; d > 0 && f.tc == nil {
 		if f.timer == nil {
 			f.timer = time.NewTimer(d)
 		} else {
@@ -246,8 +245,8 @@ func (p *Pool) writeAck(g *GlobalAddr, payload []byte, reissue bool) error {
 // rendezvous node), writing each replica into a slot nothing else
 // references — a spare or a fresh allocation, never the old record in
 // place (DESIGN.md §12) — and acks after WriteConcern successes. A spare's
-// write is posted from this goroutine; a fresh allocation, and the
-// fallback of a spare whose write failed, run on a goroutine of their own.
+// write is posted from this goroutine; a fresh allocation, or a spare that
+// failed or cannot be posted yet, runs on a goroutine of its own.
 // Writes still in flight at ack time finish in the background and fold
 // their outcome into the entry: a late success makes its replica live; a
 // late failure marks it stale and schedules its repair at once, since
@@ -265,7 +264,7 @@ func (kv *KV) Put(key string, value []byte) error {
 	e := &kvEntry{size: len(value), version: version, reps: make([]kvReplica, len(nodes))}
 	slots := make([]kvReplica, len(nodes)) // slot i: replica i's write, read after its outcome
 	f := kv.pool.newFanout(len(nodes), func(i int) (err error) {
-		kv.failed(&slots[i]) // a spare whose posted write failed
+		kv.failed(&slots[i]) // a spare that failed or could not be posted
 		slots[i], err = kv.writeFresh(slots[i].addr.Node, rec)
 		return err
 	})

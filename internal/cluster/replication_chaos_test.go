@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 )
@@ -405,10 +406,25 @@ func TestProbeTimeoutBoundsHungNode(t *testing.T) {
 
 	const victim = 0
 	c.Node(victim).Kill()
-	blackHole(t, c.Node(victim).Addr())
+	// A black hole on the victim's address: accepts and swallows, so the
+	// client's redial succeeds but every call hangs.
+	ln, err := net.Listen("tcp", c.Node(victim).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+		}
+	}()
 
 	start := time.Now()
-	err := pool.ProbeNode(victim)
+	err = pool.ProbeNode(victim)
 	elapsed := time.Since(start)
 	if !errors.Is(err, ErrProbeTimeout) {
 		t.Fatalf("probe of hung node = %v, want ErrProbeTimeout", err)

@@ -274,14 +274,18 @@ func (c *Conn) jitterSleep(d time.Duration) {
 }
 
 // ensureLocked repairs a broken or missing channel, re-dialing with
-// exponential backoff + jitter and restarting the demux reader. Caller
-// holds ch.mu.
-func (c *Conn) ensureLocked(ch *channel) error {
+// exponential backoff + jitter and restarting the demux reader. Without
+// dial it repairs nothing: a channel with no live wire fails at once with
+// ErrConnBroken. Caller holds ch.mu.
+func (c *Conn) ensureLocked(ch *channel, dial bool) error {
 	if ch.closed {
 		return ErrConnClosed
 	}
 	if ch.w != nil && !ch.broken {
 		return nil
+	}
+	if !dial {
+		return fmt.Errorf("%w: %s: not connected", ErrConnBroken, c.addr)
 	}
 	if ch.w != nil {
 		ch.w.close()
@@ -441,18 +445,7 @@ var donePool = sync.Pool{New: func() any { return make(chan Completion, 1) }}
 type Posted struct {
 	c   *Conn
 	ch  *channel
-	w   wire
 	seq uint64
-}
-
-// Timeout reports the CallTimeout of the call's connection: how long it
-// may stay open before its poster expires it (0: never, or already
-// complete at post).
-func (p Posted) Timeout() time.Duration {
-	if p.ch == nil {
-		return 0
-	}
-	return max(p.c.opts.CallTimeout, 0)
 }
 
 // Expire ends the call if it is still open, exactly as a blocking call's
@@ -466,24 +459,29 @@ func (p Posted) Expire() {
 	}
 	p.ch.mu.Lock()
 	_, open := p.ch.pending[p.seq]
+	w := p.ch.w // an open call's wire: a new wire starts with no calls
 	p.ch.mu.Unlock()
 	if open {
 		mCallTimeouts.Inc()
-		p.c.failChannel(p.ch, p.w, "timeout", errCallTimeout{p.c.opts.CallTimeout})
+		p.c.failChannel(p.ch, w, "timeout", errCallTimeout{p.c.opts.CallTimeout})
 	}
 }
 
 // post starts one multiplexed exchange: register a pending call that
 // reports into done under tag, then enqueue the request frame (ownership
-// of an owned frame-pool body passes to the wire). Every post completes on
-// done exactly once — a channel that cannot be repaired completes it at
-// once with the error — so done must have room for every completion its
-// receiver may leave uncollected. Transport faults poison the channel and
-// fail all its pending calls.
-func (c *Conn) post(ch *channel, body []byte, owned bool, tag int, done chan<- Completion) Posted {
+// of an owned frame-pool body passes to the wire). A channel with no live
+// wire is re-dialed first if dial is set. Every post completes on done
+// exactly once — a channel that cannot be used completes it at once with
+// the error — so done must have room for every completion its receiver
+// may leave uncollected. Transport faults poison the channel and fail all
+// its pending calls.
+func (c *Conn) post(ch *channel, body []byte, owned, dial bool, tag int, done chan<- Completion) Posted {
 	ch.mu.Lock()
-	if err := c.ensureLocked(ch); err != nil {
+	if err := c.ensureLocked(ch, dial); err != nil {
 		ch.mu.Unlock()
+		if owned {
+			putFrameBuf(body)
+		}
 		done <- Completion{Tag: tag, Err: err}
 		return Posted{}
 	}
@@ -500,17 +498,16 @@ func (c *Conn) post(ch *channel, body []byte, owned bool, tag int, done chan<- C
 		// frameWriter's onErr hook.)
 		c.failChannel(ch, w, "write", werr)
 	}
-	return Posted{c: c, ch: ch, w: w, seq: seq}
+	return Posted{c: c, ch: ch, seq: seq}
 }
 
 // wait receives p's completion from done, expiring p once it has been
 // open for CallTimeout.
 func (c *Conn) wait(p Posted, done <-chan Completion) Completion {
-	d := p.Timeout()
-	if d == 0 {
+	if p.ch == nil || c.opts.CallTimeout <= 0 {
 		return <-done
 	}
-	t := getTimer(d)
+	t := getTimer(c.opts.CallTimeout)
 	select {
 	case r := <-done:
 		putTimer(t)
@@ -522,12 +519,12 @@ func (c *Conn) wait(p Posted, done <-chan Completion) Completion {
 	}
 }
 
-// roundTrip performs one blocking exchange: post the frame, wait for its
-// completion. The completion's body aliases its lease — decode or copy,
-// then Release.
+// roundTrip performs one blocking exchange: post the frame (re-dialing a
+// broken channel first), wait for its completion. The completion's body
+// aliases its lease — decode or copy, then Release.
 func (c *Conn) roundTrip(ch *channel, body []byte, owned bool) Completion {
 	done := donePool.Get().(chan Completion)
-	r := c.wait(c.post(ch, body, owned, 0, done), done)
+	r := c.wait(c.post(ch, body, owned, true, 0, done), done)
 	donePool.Put(done)
 	return r
 }
@@ -577,18 +574,32 @@ func (c *Conn) CallLease(req rpc.Request) (rpc.Response, *Lease, error) {
 
 // PostCall posts one RPC from the caller's goroutine without waiting for
 // it: its completion arrives on done under tag (done must have room for
-// it), and Response decodes it. A request too large for one frame
-// completes at once with ErrFrameTooLarge. The caller expires the call
-// through the returned Posted once it has been open for Timeout; nothing
-// else does.
+// it), and Response decodes it. It never dials: on an RPC channel with no
+// live wire (Connected reports false) it completes at once with
+// ErrConnBroken, and the next blocking call re-dials. A request too large
+// for one frame completes at once with ErrFrameTooLarge. The caller
+// expires the call through the returned Posted once it has been open for
+// CallTimeout; nothing else does.
 func (c *Conn) PostCall(req rpc.Request, tag int, done chan<- Completion) Posted {
 	body, err := marshalCall(req)
 	if err != nil {
 		done <- Completion{Tag: tag, Err: err}
 		return Posted{}
 	}
-	return c.post(&c.rpc, body, true, tag, done)
+	return c.post(&c.rpc, body, true, false, tag, done)
 }
+
+// Connected reports whether the RPC channel has a live wire, so that a
+// call posted now goes out without a redial.
+func (c *Conn) Connected() bool {
+	c.rpc.mu.Lock()
+	defer c.rpc.mu.Unlock()
+	return !c.rpc.closed && c.rpc.w != nil && !c.rpc.broken
+}
+
+// CallTimeout reports how long a call may stay open before it is expired
+// (0: never).
+func (c *Conn) CallTimeout() time.Duration { return max(c.opts.CallTimeout, 0) }
 
 // Response decodes an RPC call's completion into the response, whose
 // Payload aliases the returned lease. A frame that does not decode means
@@ -686,5 +697,5 @@ func (c *Conn) ReconnectDMA() error {
 	}
 	c.dma.broken = true
 	c.dma.failPendingLocked(fmt.Errorf("%w: reconnect", ErrConnBroken))
-	return c.ensureLocked(&c.dma)
+	return c.ensureLocked(&c.dma, true)
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -253,9 +254,6 @@ func TestPostExpireBreaksOnlyItsChannel(t *testing.T) {
 			done := make(chan Completion, 4)
 			pa := a.PostCall(rpc.Request{Op: rpc.OpRead}, 0, done)
 			b.PostCall(rpc.Request{Op: rpc.OpRead}, 1, done)
-			if pa.Timeout() != fastOpts().CallTimeout {
-				t.Fatalf("Timeout %v, want the connection's CallTimeout", pa.Timeout())
-			}
 			pa.Expire()
 			r := <-done
 			if r.Tag != 0 || !errors.Is(r.Err, ErrConnBroken) || !strings.Contains(r.Err.Error(), "timeout") {
@@ -316,6 +314,53 @@ func TestPostUndecodableReplyBreaksChannel(t *testing.T) {
 			c.rpc.mu.Unlock()
 			if !broken {
 				t.Fatal("undecodable reply left the channel in use")
+			}
+		})
+	}
+}
+
+// TestPostNeverDials: a post on a channel with no live wire completes at
+// once with ErrConnBroken and leaves the redial to the next blocking call,
+// so a poster never waits on a dial.
+func TestPostNeverDials(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		shm  bool
+	}{{"tcp", false}, {"shm", true}} {
+		t.Run(v.name, func(t *testing.T) {
+			c, poison := scriptedConn(t, v.shm, okUnlessRead, nil)
+			var dials atomic.Int32
+			c.opts.Dialer = func(string, string) (net.Conn, error) {
+				dials.Add(1)
+				return nil, errors.New("refused")
+			}
+			// One answered call: a TCP wire's handshake rides its first frame.
+			if _, err := c.Call(rpc.Request{Op: rpc.OpInfo}); err != nil || !c.Connected() {
+				t.Fatalf("a fresh Conn: %v, connected=%v", err, c.Connected())
+			}
+			poison()
+			for deadline := time.Now().Add(5 * time.Second); c.Connected(); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the reset never broke the channel")
+				}
+			}
+			done := make(chan Completion, 1)
+			if p := c.PostCall(rpc.Request{Op: rpc.OpInfo}, 3, done); p != (Posted{}) {
+				t.Fatal("a post on a broken channel went out")
+			}
+			select {
+			case r := <-done:
+				if r.Tag != 3 || !errors.Is(r.Err, ErrConnBroken) {
+					t.Fatalf("unposted call completed as tag %d: %v", r.Tag, r.Err)
+				}
+			default:
+				t.Fatal("a post on a broken channel did not complete at once")
+			}
+			if n := dials.Load(); n != 0 {
+				t.Fatalf("the post dialed %d times", n)
+			}
+			if _, err := c.Call(rpc.Request{Op: rpc.OpInfo}); !errors.Is(err, ErrConnBroken) || dials.Load() == 0 {
+				t.Fatalf("blocking call after the reset: %v after %d dials, want a failed redial", err, dials.Load())
 			}
 		})
 	}
