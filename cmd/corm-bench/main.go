@@ -55,20 +55,8 @@ func main() {
 	case "failover":
 		runFailover(args[1:])
 		return
-	case "wire":
-		runWire(args[1:])
-		return
-	case "pushdown":
-		runPushdown(args[1:])
-		return
 	case "soak":
 		runSoak(args[1:])
-		return
-	case "tiering":
-		runTiering(args[1:])
-		return
-	case "summarize":
-		runSummarize(args[1:])
 		return
 	}
 	for _, name := range args {
@@ -114,13 +102,8 @@ usage:
   corm-bench <experiment>... [-full] [-seed N]
   corm-bench failover [-nodes N] [-replicas K] [-write-concern W]
                       [-keys N] [-size B] [-out FILE]
-  corm-bench wire [-out FILE]
-  corm-bench pushdown [-out FILE]
   corm-bench soak [-scenario NAME] [-duration D] [-seed N] [-out FILE]
                   [-quiet] [-list]
-  corm-bench tiering [-objects N] [-size B] [-ops N] [-budget-frac F]
-                     [-tier T] [-bar R] [-out FILE]
-  corm-bench summarize [-dir DIR] [-out FILE]
 `)
 	flag.PrintDefaults()
 }

@@ -1,8 +1,9 @@
 // Command corm-server runs a CoRM node serving the RPC + emulated-RDMA
-// protocol over TCP.
+// protocol over TCP. Store geometry (block size, identifier bits,
+// compaction strategy and watermark) and the compactor's pacing are the
+// library defaults: corm.DefaultConfig and a zero-valued CompactorConfig.
 //
-//	corm-server -listen 127.0.0.1:7170 -workers 8 -block 4096 \
-//	    -strategy corm -idbits 16 -compact auto
+//	corm-server -listen 127.0.0.1:7170 -workers 8 -compact auto
 package main
 
 import (
@@ -16,22 +17,13 @@ import (
 	"time"
 
 	"corm"
-	"corm/internal/core"
 	"corm/internal/metrics"
 )
 
 func main() {
 	listen := flag.String("listen", "127.0.0.1:7170", "TCP listen address")
 	workers := flag.Int("workers", 8, "worker threads")
-	block := flag.Int("block", 4096, "block size in bytes (power-of-two multiple of 4096)")
-	strategy := flag.String("strategy", "corm", "compaction strategy: corm, corm-0, mesh, hybrid, none")
-	idBits := flag.Int("idbits", 16, "object identifier bits")
 	compactMode := flag.String("compact", "off", "background compaction: auto (adaptive AutoTuner policy), threshold (fragmentation watermarks), off")
-	compactInterval := flag.Duration("compact-interval", 50*time.Millisecond, "base pace between background compaction cycles")
-	compactBudget := flag.Int("compact-budget", 8, "max blocks freed per compaction cycle (0 = unlimited)")
-	compactShed := flag.Float64("compact-shed", 0, "pause compaction above this op rate in ops/s (0 = never shed)")
-	compactEvery := flag.Duration("compact-every", 0, "legacy: run the full compaction policy periodically (0 = only on demand); superseded by -compact")
-	fragThreshold := flag.Float64("frag-threshold", 2.0, "fragmentation ratio that triggers compaction")
 	metricsAddr := flag.String("metrics-addr", "", "observability HTTP address (e.g. :9100) serving /metrics, /debug/vars, /debug/pprof; empty = disabled")
 	memBudget := flag.String("mem-budget", "", "resident-memory cap with K/M/G suffix (e.g. 256M); cold blocks spill to the tier; empty = uncapped")
 	tierSpec := flag.String("tier", "", "spill tier for evicted blocks: compressed, disk, disk:<dir>, off (default compressed when -mem-budget is set)")
@@ -39,29 +31,7 @@ func main() {
 
 	cfg := corm.DefaultConfig()
 	cfg.Workers = *workers
-	cfg.BlockBytes = *block
-	cfg.IDBits = *idBits
-	cfg.FragThreshold = *fragThreshold
-	switch strings.ToLower(*strategy) {
-	case "corm":
-		cfg.Strategy = core.StrategyCoRM
-	case "corm-0", "corm0":
-		cfg.Strategy = core.StrategyCoRM0
-	case "mesh":
-		cfg.Strategy = core.StrategyMesh
-	case "hybrid":
-		cfg.Strategy = core.StrategyHybrid
-	case "none", "farm":
-		cfg.Strategy = core.StrategyNone
-	default:
-		log.Fatalf("unknown strategy %q", *strategy)
-	}
 
-	ccfg := corm.CompactorConfig{
-		Interval:          *compactInterval,
-		MaxBlocks:         *compactBudget,
-		LoadShedOpsPerSec: *compactShed,
-	}
 	var opts []corm.ServerOption
 	if *memBudget != "" {
 		bytes, err := parseBytes(*memBudget)
@@ -75,9 +45,9 @@ func main() {
 	}
 	switch strings.ToLower(*compactMode) {
 	case "auto":
-		opts = append(opts, corm.WithAdaptiveCompaction(ccfg))
+		opts = append(opts, corm.WithAdaptiveCompaction(corm.CompactorConfig{}))
 	case "threshold":
-		opts = append(opts, corm.WithBackgroundCompaction(ccfg))
+		opts = append(opts, corm.WithBackgroundCompaction(corm.CompactorConfig{}))
 	case "off", "":
 	default:
 		log.Fatalf("unknown -compact mode %q (want auto, threshold, off)", *compactMode)
@@ -108,13 +78,7 @@ func main() {
 	}
 
 	if srv.Compactor() != nil {
-		log.Printf("background compaction %s: interval=%v budget=%d blocks/cycle shed=%.0f ops/s (threshold %.1fx)",
-			*compactMode, *compactInterval, *compactBudget, *compactShed, *fragThreshold)
-	}
-	var stopLoop func()
-	if *compactEvery > 0 {
-		stopLoop = corm.CompactionLoop(srv, *compactEvery)
-		log.Printf("compaction policy every %v (threshold %.1fx)", *compactEvery, *fragThreshold)
+		log.Printf("background compaction %s", *compactMode)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -124,9 +88,6 @@ func main() {
 	for {
 		select {
 		case <-sig:
-			if stopLoop != nil {
-				stopLoop()
-			}
 			st := srv.Stats()
 			fmt.Printf("shutting down: allocs=%d frees=%d reads=%d writes=%d compactions=%d blocks-freed=%d\n",
 				st.Allocs, st.Frees, st.Reads, st.Writes, st.Compactions, st.BlocksFreed)

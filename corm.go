@@ -25,8 +25,6 @@
 package corm
 
 import (
-	"time"
-
 	"corm/internal/client"
 	"corm/internal/cluster"
 	"corm/internal/core"
@@ -389,22 +387,3 @@ func NewReplicator(kv *KV, cfg ReplicatorConfig) *Replicator {
 
 // AsNodeError extracts the failing node's identity from a cluster error.
 func AsNodeError(err error) (*NodeError, bool) { return cluster.AsNodeError(err) }
-
-// CompactionLoop is a convenience helper: it runs srv.Compact every
-// interval until the returned stop function is called.
-func CompactionLoop(srv *Server, interval time.Duration) (stop func()) {
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				srv.Compact()
-			}
-		}
-	}()
-	return func() { close(done) }
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestPublicAPILocal(t *testing.T) {
@@ -116,15 +115,4 @@ func TestPublicCompaction(t *testing.T) {
 			t.Fatalf("object lost after public Compact: %v", err)
 		}
 	}
-}
-
-func TestCompactionLoop(t *testing.T) {
-	srv, err := NewServer(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	stop := CompactionLoop(srv, time.Millisecond)
-	time.Sleep(10 * time.Millisecond)
-	stop()
 }

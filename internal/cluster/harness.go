@@ -1,9 +1,9 @@
 // In-process cluster harness: spins n full CoRM nodes (store + RPC server
 // + transport listener) on loopback and a Pool dialed to all of them, with
-// per-node kill / restart / wipe controls. The failover bench
-// (cmd/corm-bench failover), the root replication benchmarks, and the
-// chaos tests share it, so "kill a node" means exactly the same thing in
-// CI assertions and in reported numbers:
+// per-node kill / restart / wipe controls. The failover drill
+// (cmd/corm-bench failover), the soak (internal/soak) and the chaos tests
+// share it, so "kill a node" means exactly the same thing in CI
+// assertions and in reported numbers:
 //
 //   - Kill: the transport listener dies; the store (node memory) survives.
 //   - Restart: a new listener on the same address over the same store —

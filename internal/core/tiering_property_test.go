@@ -28,66 +28,71 @@ func tieredStore(t *testing.T, budget int64, mutate func(*Config)) *Store {
 
 // TestTieredEvictFaultRoundtrip is the deterministic half of the elastic-
 // memory invariant: force every block out, then read everything back and
-// demand byte-identical payloads through the fault-in path.
+// demand byte-identical payloads through the fault-in path, on the
+// compressed in-memory tier and on the disk tier.
 func TestTieredEvictFaultRoundtrip(t *testing.T) {
-	s := tieredStore(t, 1<<20, nil)
-	defer s.Close()
-	const size, objs = 512, 64
+	for _, spec := range []string{"compressed", "disk"} {
+		t.Run(spec, func(t *testing.T) {
+			s := tieredStore(t, 1<<20, func(c *Config) { c.TierSpec = spec })
+			defer s.Close()
+			const size, objs = 512, 64
 
-	addrs := make([]Addr, objs)
-	for i := range addrs {
-		r, err := s.AllocOn(0, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = r.Addr
-		if err := s.Write(&addrs[i], fill(size, byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
+			addrs := make([]Addr, objs)
+			for i := range addrs {
+				r, err := s.AllocOn(0, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				addrs[i] = r.Addr
+				if err := s.Write(&addrs[i], fill(size, byte(i))); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	evicted := 0
-	for {
-		n := s.EvictBlocks(16)
-		if n == 0 {
-			break
-		}
-		evicted += n
-	}
-	if evicted == 0 {
-		t.Fatal("EvictBlocks evicted nothing")
-	}
-	if s.Residency().Stats().EvictedBlocks == 0 {
-		t.Fatal("no blocks in evicted state after full sweep")
-	}
+			evicted := 0
+			for {
+				n := s.EvictBlocks(16)
+				if n == 0 {
+					break
+				}
+				evicted += n
+			}
+			if evicted == 0 {
+				t.Fatal("EvictBlocks evicted nothing")
+			}
+			if s.Residency().Stats().EvictedBlocks == 0 {
+				t.Fatal("no blocks in evicted state after full sweep")
+			}
 
-	buf := make([]byte, s.ClassSize(int(addrs[0].Class())))
-	for i := range addrs {
-		if _, err := s.Read(&addrs[i], buf); err != nil {
-			t.Fatalf("read %d after eviction: %v", i, err)
-		}
-		if !bytes.Equal(buf[:size], fill(size, byte(i))) {
-			t.Fatalf("object %d corrupted across evict/fault cycle", i)
-		}
-	}
-	st := s.Residency().Stats()
-	if st.FaultIns == 0 {
-		t.Fatal("reads did not fault anything in")
-	}
-	// Writes to evicted blocks must fault in too.
-	for {
-		if s.EvictBlocks(16) == 0 {
-			break
-		}
-	}
-	if err := s.Write(&addrs[0], fill(size, 0xEE)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read(&addrs[0], buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:size], fill(size, 0xEE)) {
-		t.Fatal("write to evicted block lost through fault-in")
+			buf := make([]byte, s.ClassSize(int(addrs[0].Class())))
+			for i := range addrs {
+				if _, err := s.Read(&addrs[i], buf); err != nil {
+					t.Fatalf("read %d after eviction: %v", i, err)
+				}
+				if !bytes.Equal(buf[:size], fill(size, byte(i))) {
+					t.Fatalf("object %d corrupted across evict/fault cycle", i)
+				}
+			}
+			st := s.Residency().Stats()
+			if st.FaultIns == 0 {
+				t.Fatal("reads did not fault anything in")
+			}
+			// Writes to evicted blocks must fault in too.
+			for {
+				if s.EvictBlocks(16) == 0 {
+					break
+				}
+			}
+			if err := s.Write(&addrs[0], fill(size, 0xEE)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Read(&addrs[0], buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf[:size], fill(size, 0xEE)) {
+				t.Fatal("write to evicted block lost through fault-in")
+			}
+		})
 	}
 }
 

@@ -318,9 +318,10 @@ func (c *Conn) ensureLocked(ch *channel, dial bool) error {
 // closed, every pending call fails with ErrConnBroken, and the next use
 // re-dials instead of desynchronizing. If the channel has already moved on
 // to a newer wire (or is closed), this is a no-op — the fault belongs to a
-// previous incarnation whose pending calls were already failed.
+// previous incarnation whose pending calls were already failed. The error
+// wraps both ErrConnBroken and cause, so a timeout's net.Error shows.
 func (c *Conn) failChannel(ch *channel, w wire, stage string, cause error) error {
-	err := fmt.Errorf("%w: %s: %v", ErrConnBroken, stage, cause)
+	err := fmt.Errorf("%w: %s: %w", ErrConnBroken, stage, cause)
 	ch.mu.Lock()
 	defer ch.mu.Unlock()
 	if ch.w != w || ch.closed {
@@ -409,6 +410,9 @@ type errCallTimeout struct{ d time.Duration }
 
 func (e errCallTimeout) Error() string { return fmt.Sprintf("call exceeded %v", e.d) }
 func (e errCallTimeout) Timeout() bool { return true }
+
+// Temporary completes net.Error, answering as os.ErrDeadlineExceeded does.
+func (e errCallTimeout) Temporary() bool { return true }
 
 // timerPool recycles call-timeout timers; a fresh time.NewTimer costs three
 // allocations per round trip, which shows up at pipelined call rates.

@@ -290,6 +290,29 @@ func TestPostExpireBreaksOnlyItsChannel(t *testing.T) {
 	}
 }
 
+// TestCallTimeoutIsNetTimeout: a blocking call that outlives CallTimeout
+// fails with an error that is both ErrConnBroken and a net.Error whose
+// Timeout reports true, so callers can tell a timeout from other faults.
+func TestCallTimeoutIsNetTimeout(t *testing.T) {
+	for _, v := range []struct {
+		name string
+		shm  bool
+	}{{"tcp", false}, {"shm", true}} {
+		t.Run(v.name, func(t *testing.T) {
+			c, _ := scriptedConn(t, v.shm, okUnlessRead, nil)
+			c.opts.CallTimeout = 20 * time.Millisecond
+			_, err := c.Call(rpc.Request{Op: rpc.OpRead})
+			var nerr net.Error
+			if !errors.As(err, &nerr) || !nerr.Timeout() {
+				t.Fatalf("timed-out call: %v; want a net.Error with Timeout", err)
+			}
+			if !errors.Is(err, ErrConnBroken) || !IsRetryable(err) || !IsTransportError(err) {
+				t.Fatalf("timed-out call: %v; want ErrConnBroken, retryable, a transport error", err)
+			}
+		})
+	}
+}
+
 // TestPostUndecodableReplyBreaksChannel: a reply that does not decode as a
 // response breaks the channel that delivered it, and its poster gets
 // ErrConnBroken.

@@ -1,8 +1,7 @@
-// Near-data compute benchmarks and correctness hammers. The benchmarks
-// put numbers on the pushdown claim tracked in BENCH_pushdown.json: a
-// server-side FetchAdd is one round trip where the client-side emulation
-// pays lock + Read + Write, and under contention the emulation's lock
-// serializes everything while pushdown ops pipeline. The linearizability
+// Near-data compute: the pushdown benchmarks and the atomics' correctness
+// hammer. BenchmarkPushdownFetchAdd and BenchmarkEmulatedFetchAdd measure
+// the pushdown claim: a server-side FetchAdd is one round trip where the
+// client-side emulation pays lock + Read + Write. The linearizability
 // test is the acceptance bar for the atomics themselves: 16 goroutines of
 // mixed CAS/FetchAdd against one counter, with compaction merging blocks
 // underneath, must lose no increment.
@@ -15,7 +14,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"corm/internal/client"
 	"corm/internal/core"
 )
 
@@ -53,40 +51,6 @@ func BenchmarkPushdownFetchAdd(b *testing.B) {
 	}
 }
 
-// BenchmarkPushdownFetchAddAsync keeps a window of futures in flight; the
-// client coalesces them into OpBatch frames of tokened FetchAdds.
-func BenchmarkPushdownFetchAddAsync(b *testing.B) {
-	const window = 64
-	for _, v := range wireVariants {
-		b.Run(v.name, func(b *testing.B) {
-			cli, ctr := benchCounter(b, v.disableSHM)
-			addrs := make([]core.Addr, window)
-			for i := range addrs {
-				addrs[i] = ctr
-			}
-			futs := make([]*client.AtomicFuture, 0, window)
-			b.ReportAllocs()
-			b.ResetTimer()
-			issued := 0
-			for issued < b.N {
-				futs = futs[:0]
-				for i := 0; i < window && issued < b.N; i++ {
-					futs = append(futs, cli.FetchAddAsync(&addrs[i], 0, 1))
-					issued++
-				}
-				cli.Flush()
-				for _, f := range futs {
-					if _, err := f.Wait(); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}
-
 // BenchmarkEmulatedFetchAdd is what the caller had before pushdown: a
 // lock (required for atomicity), a Read, an increment, a Write.
 func BenchmarkEmulatedFetchAdd(b *testing.B) {
@@ -110,72 +74,6 @@ func BenchmarkEmulatedFetchAdd(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-		})
-	}
-}
-
-// TestFetchAddAllocBudget pins the pushdown hot path: one blocking
-// FetchAdd round trip costs at most 1 allocation on either wire.
-func TestFetchAddAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc accounting in -short")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; budgets hold for production builds")
-	}
-	for _, v := range wireVariants {
-		t.Run(v.name, func(t *testing.T) {
-			cli, _ := benchWireClientT(t, v.disableSHM, 0)
-			ctr, err := cli.Alloc(8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := cli.Write(&ctr, make([]byte, 8)); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 64; i++ {
-				if _, err := cli.FetchAdd(&ctr, 0, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if _, err := cli.FetchAdd(&ctr, 0, 1); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 1 {
-				t.Fatalf("FetchAdd costs %.1f allocs/op, budget 1", allocs)
-			}
-		})
-	}
-}
-
-// TestWriteAllocBudget pins the lease-converted Write path (the response
-// is now decoded out of the receive lease, not a copied payload).
-func TestWriteAllocBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc accounting in -short")
-	}
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; budgets hold for production builds")
-	}
-	for _, v := range wireVariants {
-		t.Run(v.name, func(t *testing.T) {
-			cli, addrs := benchWireClientT(t, v.disableSHM, 1)
-			payload := make([]byte, 64)
-			for i := 0; i < 64; i++ {
-				if err := cli.Write(addrs[0], payload); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				if err := cli.Write(addrs[0], payload); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs > 1 {
-				t.Fatalf("Write costs %.1f allocs/op, budget 1", allocs)
-			}
 		})
 	}
 }
